@@ -14,7 +14,7 @@ import numpy as np
 
 from . import __version__
 from .instruments import povm
-from .oracle import OracleConfig, verify_closed_form
+from .oracle import verify_closed_form
 from .qubit import symmetric_pair
 from .simulate import RNG_ALGORITHM, SimulationConfig, run
 from .tradeoff import (
@@ -147,16 +147,14 @@ def cmd_verify(parser: argparse.ArgumentParser, args) -> int:
         parser.error("verify requires alpha strictly inside (0, pi/4)")
     if args.points < 1:
         parser.error("--points must be >= 1")
-    cfg = OracleConfig(restarts=args.restarts, seed=args.seed, restrict_real=args.restrict_real)
+    if not (math.isfinite(args.tol) and args.tol > 0.0):
+        parser.error(f"--tol must be finite and positive, got {args.tol}")
     t_grid = np.linspace(0.0, 1.0, args.points) if args.points > 1 else [1.0]
-    report = verify_closed_form(symmetric_pair(alpha), t_grid, cfg, tol=args.tol)
+    report = verify_closed_form(symmetric_pair(alpha), t_grid, tol=args.tol)
     payload = {
         "library": "qtradeoff",
         "version": __version__,
         "rng": RNG_ALGORITHM,
-        "seed": args.seed,
-        "restarts": args.restarts,
-        "restrict_real": args.restrict_real,
     }
     payload.update(report.as_dict())
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
@@ -228,10 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="uniform t grid size on [0, 1] (default 5)")
     p_verify.add_argument("--tol", type=float, default=1e-4,
                           help="pass threshold on |D_oracle - D_closed| (default 1e-4)")
-    p_verify.add_argument("--seed", type=int, default=1234)
-    p_verify.add_argument("--restarts", type=int, default=4)
-    p_verify.add_argument("--restrict-real", action="store_true",
-                          help="restrict the optimizer to real factors")
     p_verify.add_argument("--out", default=None)
     p_verify.set_defaults(func=cmd_verify)
 

@@ -2,74 +2,67 @@
 
 For the symmetrized instrument the minimum disturbance at control parameter t
 is 1 - max Tr[Sigma R1] over positive 4x4 operators R1 subject to three linear
-conditions: Tr[R1] = 1, Tr[(1 (x) sx) R1] = 0 and Tr[(1 (x) sz) R1] = t. The
-solver parameterizes R1 = L L† with a lower-triangular factor L (positivity is
-structural), enforces the equalities with a quadratic penalty on an increasing
-weight schedule plus multiplier estimates, and solves each penalty stage with
-L-BFGS from multiple random restarts.
+conditions: Tr[R1] = 1, Tr[(1 (x) sx) R1] = 0 and Tr[(1 (x) sz) R1] = t.
+Eliminating the trace multiplier leaves a convex Lagrange dual in two variables,
 
-At t = 1 the feasible set loses its interior: the constraints pin the input
-marginal of R1 to the pure state |1><1|, which forces R1 = S (x) |1><1| and
-reduces the program to maximizing Tr[S M] over 2x2 density matrices S, i.e. to
-the top eigenvalue of M[i,j] = Sigma[2i, 2j]. Penalty iterations stall on that
-boundary, so the reduction is applied exactly there instead.
+    min_y lambda_max(Sigma - y1 (1 (x) sx) - y2 (1 (x) sz)) + t y2,
+
+and every y gives a proven upper bound on the maximum, i.e. a lower bound on the
+disturbance (Vandenberghe & Boyd, SIAM Rev. 38:49, 1996). The solver minimizes
+the entropic smoothing g_mu(y) = mu log Tr exp(M(y)/mu) + t y2 by damped Newton
+in a trust region, continuing mu from 1e-1 down to 1e-9. One eigendecomposition
+of M(y) yields g_mu with its gradient and Hessian, the exact dual value, and the
+Gibbs state exp(M/mu)/Tr, which is positive by construction, has unit trace,
+and whose remaining constraint residuals are minus the gradient. A Gibbs state
+is the primal answer; the least dual value seen is the certificate.
+
+At t = 1 the dual optimum is not attained (y2 diverges): the constraints pin the
+input marginal of R1 to the pure state |1><1|, which forces R1 = S (x) |1><1|
+and reduces the program to maximizing Tr[S M] over 2x2 density matrices S, i.e.
+to the top eigenvalue of M[i,j] = Sigma[2i, 2j]. That reduction is exact and is
+applied there instead.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .qubit import ID4, SIGMA_X, SIGMA_Z, ID2, StatePair, min_eigenvalue_hermitian, projector, tensor
+from .qubit import ID2, SIGMA_X, SIGMA_Z, StatePair, min_eigenvalue_hermitian, projector, tensor
 from .tradeoff import tradeoff_point
 
 FEASIBILITY_ATOL = 1e-6
 SUPEROPTIMALITY_TOL = 1e-5
-# Within this distance of t = 1 the interior of the feasible set is gone and
-# the exact face reduction takes over.
-_FACE_THRESHOLD = 1e-9
 
-_TRIL = np.tril_indices(4)
+# Constraint operators 1 (x) sx and 1 (x) sz; their multipliers are the dual variables.
+_DUAL_OPS = np.stack([np.kron(ID2.real, SIGMA_X.real), np.kron(ID2.real, SIGMA_Z.real)])
+_SMOOTHING_SCHEDULE = tuple(10.0 ** -k for k in range(1, 10))
+_NEWTON_STEPS_PER_STAGE = 60
+_ARMIJO = 1e-4
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
 class OracleConfig:
-    restarts: int = 4
-    max_iterations: int = 5000
-    penalty_weight_schedule: tuple[float, ...] = (1e2, 1e4, 1e6)
-    convergence_tol: float = 1e-10
-    seed: int = 1234
-    restrict_real: bool = False
-
-    def __post_init__(self):
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if not self.penalty_weight_schedule or any(w <= 0 for w in self.penalty_weight_schedule):
-            raise ValueError("penalty weights must be positive")
-        if self.convergence_tol <= 0:
-            raise ValueError("convergence_tol must be positive")
-        if not 0 <= int(self.seed) < 2 ** 64:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
-
-
-@dataclass(frozen=True)
-class RestartSummary:
-    final_objective: float
-    iterations: int
-    max_equality_residual: float
-    converged: bool
+    """Accepted for compatibility and ignored: the dual Newton solver has no settings."""
 
 
 @dataclass(frozen=True, eq=False)
 class OracleResult:
+    """Optimum of the oracle program with its certificate.
+
+    best_R1 is positive with unit trace and meets the two remaining linear
+    conditions to within constraint_residuals; achieved_D = 1 - Tr[Sigma R1].
+    lower_bound_D is a proven lower bound on the minimum disturbance (up to
+    eigenvalue rounding), and certified_gap = achieved_D - lower_bound_D.
+    """
+
     best_R1: np.ndarray
     achieved_D: float
+    lower_bound_D: float
+    certified_gap: float
     constraint_residuals: tuple[float, float, float, float]
-    objective_history_summary: tuple[RestartSummary, ...]
-    converged: bool
 
 
 def sigma_objective(pair: StatePair) -> np.ndarray:
@@ -85,10 +78,6 @@ def sigma_objective(pair: StatePair) -> np.ndarray:
     return sig
 
 
-def _constraint_operators() -> list[np.ndarray]:
-    return [ID4, tensor(ID2, SIGMA_X), tensor(ID2, SIGMA_Z)]
-
-
 def constraint_residuals(r1: np.ndarray, pair: StatePair, t: float) -> tuple[float, float, float, float]:
     """Residuals of the four linear conditions at (pair, t).
 
@@ -100,24 +89,9 @@ def constraint_residuals(r1: np.ndarray, pair: StatePair, t: float) -> tuple[flo
     if float(pair.alpha) == np.pi / 4:
         raise ValueError("constraints degenerate at alpha = pi/4 (cos 2a = 0)")
     r1 = np.asarray(r1, dtype=complex)
-    t = float(t)
     psd = max(0.0, -min_eigenvalue_hermitian(r1))
-    a_id, a_sx, a_sz = _constraint_operators()
-    return (
-        psd,
-        float(np.real(np.trace(a_id @ r1))) - 1.0,
-        float(np.real(np.trace(a_sx @ r1))),
-        float(np.real(np.trace(a_sz @ r1))) - t,
-    )
-
-
-def _lower_triangular_factor(r1: np.ndarray) -> np.ndarray:
-    """Lower-triangular L with L L† = R1, valid for singular PSD input."""
-    vals, vecs = np.linalg.eigh(0.5 * (r1 + r1.conj().T))
-    vals = np.clip(vals, 0.0, None)
-    b = (vecs * np.sqrt(vals)) @ vecs.conj().T
-    _, rq = np.linalg.qr(b.conj().T)
-    return rq.conj().T
+    sx, sz = np.real(np.einsum("kij,ji->k", _DUAL_OPS, r1))
+    return psd, float(np.real(np.trace(r1))) - 1.0, float(sx), float(sz) - float(t)
 
 
 def _face_solution(sig: np.ndarray) -> tuple[np.ndarray, float]:
@@ -129,82 +103,94 @@ def _face_solution(sig: np.ndarray) -> tuple[np.ndarray, float]:
     return r1, float(vals[-1])
 
 
-def _equality_residuals(r1: np.ndarray, a_ops, targets) -> np.ndarray:
-    return np.array([float(np.real(np.trace(a @ r1))) - b for a, b in zip(a_ops, targets)])
+def _smoothed_dual(sig: np.ndarray, y: np.ndarray, t: float, mu: float):
+    """(g_mu, gradient, Hessian, exact dual value, Gibbs state) at y, from one eigh.
+
+    The Hessian is the Daleckii-Krein form of the second derivative of
+    mu log Tr exp(M/mu): divided differences (p_i - p_j)/(lam_i - lam_j) on the
+    off-diagonal eigenbasis entries of the constraint operators, plus their
+    diagonal covariance under the Gibbs weights p divided by mu.
+    """
+    lam, v = np.linalg.eigh(sig - np.tensordot(y, _DUAL_OPS, 1))
+    w = np.exp((lam - lam[-1]) / mu)
+    p = w / w.sum()
+    gibbs = (v * p) @ v.T
+    grad = np.array([0.0, t]) - np.einsum("kij,ji->k", _DUAL_OPS, gibbs)
+    b = v.T @ _DUAL_OPS @ v
+    # (p_i - p_j)/(lam_i - lam_j) = max(p_i, p_j) (1 - exp(-x))/x / mu with
+    # x = |lam_i - lam_j|/mu, which neither cancels nor overflows.
+    x = np.abs(lam[:, None] - lam[None, :]) / mu
+    ratio = np.where(x > 0, -np.expm1(-x) / np.where(x > 0, x, 1.0), 1.0)
+    kernel = np.maximum.outer(p, p) * ratio / mu
+    np.fill_diagonal(kernel, 0.0)
+    diag = np.einsum("kii->ki", b)
+    centered = diag - diag @ p[:, None]
+    hess = np.einsum("kij,lij,ij->kl", b, b, kernel) + (centered * p) @ centered.T / mu
+    g = lam[-1] + mu * math.log(w.sum()) + t * y[1]
+    return g, grad, hess, lam[-1] + t * y[1], gibbs
 
 
-def _pack(l: np.ndarray, real: bool) -> np.ndarray:
-    v = l[_TRIL]
-    return v.real.copy() if real else np.concatenate([v.real, v.imag])
+def _line_search(sig, y, t, mu, g, grad, step):
+    """Backtrack along step, capped to the trust region: the accepted (y, evaluation) or None."""
+    length = np.linalg.norm(step)
+    if not 0.0 < length < math.inf:
+        return None
+    # Trust region: far from the optimum the Newton step of a nearly linear
+    # g_mu overshoots without bound.
+    step = step * min(1.0, 0.5 * (1.0 + np.linalg.norm(y)) / length)
+    decrease = -grad @ step
+    # Below this, g_mu cannot resolve the predicted decrease; the gradient
+    # still can, so a full step must shrink it instead.
+    if decrease <= 8.0 * _EPS * (1.0 + abs(g) + np.abs(y).sum()):
+        trial = _smoothed_dual(sig, y + step, t, mu)
+        return (y + step, trial) if np.linalg.norm(trial[1]) < np.linalg.norm(grad) else None
+    s = 1.0
+    while s > 1e-12:
+        trial = _smoothed_dual(sig, y + s * step, t, mu)
+        if trial[0] <= g - _ARMIJO * s * decrease:
+            return y + s * step, trial
+        s *= 0.5
+    return None
 
 
-def _unpack(x: np.ndarray, real: bool) -> np.ndarray:
-    l = np.zeros((4, 4), dtype=complex)
-    l[_TRIL] = x if real else x[:10] + 1j * x[10:]
-    return l
+def _dual_newton(sig: np.ndarray, t: float) -> tuple[np.ndarray, float]:
+    """The best stage-final Gibbs state and the least dual value seen.
+
+    Where the top eigenvalue is degenerate at the optimum (e.g. t = 0), the
+    gradient carries rounding of order eps/mu, so the last stage is not always
+    the best. Each stage-final Gibbs state is scored by the larger of its
+    constraint residual and its distance to the dual bound.
+    """
+    y = np.zeros(2)
+    best_dual = math.inf
+    stage_ends = []
+    for mu in _SMOOTHING_SCHEDULE:
+        g, grad, hess, dual, gibbs = _smoothed_dual(sig, y, t, mu)
+        best_dual = min(best_dual, dual)
+        for _ in range(_NEWTON_STEPS_PER_STAGE):
+            try:
+                newton = np.linalg.solve(hess, -grad)
+            except np.linalg.LinAlgError:
+                newton = -grad
+            # Steepest descent where g_mu is flat along some direction and the
+            # Newton step is meaningless.
+            accepted = _line_search(sig, y, t, mu, g, grad, newton) or \
+                _line_search(sig, y, t, mu, g, grad, -grad)
+            if accepted is None:
+                break
+            y, (g, grad, hess, dual, gibbs) = accepted
+            best_dual = min(best_dual, dual)
+        stage_ends.append((gibbs, np.abs(grad).max(), float(np.sum(sig * gibbs))))
+    gibbs = min(stage_ends, key=lambda e: max(e[1], abs(best_dual - e[2])))[0]
+    return gibbs, best_dual
 
 
-def _masked_gradient_vector(m: np.ndarray, l: np.ndarray, real: bool) -> np.ndarray:
-    g = (m @ l)[_TRIL]
-    return g.real.copy() if real else np.concatenate([g.real, g.imag])
-
-
-def _run_restart(l0, sig, a_ops, targets, cfg) -> tuple[np.ndarray, RestartSummary]:
-    real = cfg.restrict_real
-    x = _pack(l0, real)
-    # Least-squares multiplier estimate; makes a stationary warm start actually
-    # look stationary to the first penalty stage.
-    basis = np.stack([_masked_gradient_vector(a, l0, real) for a in a_ops], axis=1)
-    mu, *_ = np.linalg.lstsq(basis, _masked_gradient_vector(sig, l0, real), rcond=None)
-    # Scheduled stages, then multiplier-update rounds at the final weight until
-    # the equalities are tight.
-    stages = list(cfg.penalty_weight_schedule) + [cfg.penalty_weight_schedule[-1]] * 8
-    iterations = 0
-    clean_exit = True
-    for w in stages:
-        def objective(xv):
-            lm = _unpack(xv, real)
-            r = lm @ lm.conj().T
-            obj = float(np.real(np.trace(sig @ r)))
-            res = _equality_residuals(r, a_ops, targets)
-            f = -(obj - mu @ res - w * res @ res)
-            shifted = sig - sum((m + 2.0 * w * rr) * a for m, rr, a in zip(mu, res, a_ops))
-            return f, -2.0 * _masked_gradient_vector(shifted, lm, real)
-
-        out = minimize(objective, x, jac=True, method="L-BFGS-B",
-                       options=dict(maxiter=cfg.max_iterations,
-                                    ftol=cfg.convergence_tol * 1e-3,
-                                    gtol=1e-12))
-        x = out.x
-        iterations += int(out.nit)
-        clean_exit = clean_exit and int(out.status) == 0
-        l = _unpack(x, real)
-        res = _equality_residuals(l @ l.conj().T, a_ops, targets)
-        mu = mu + 2.0 * w * res
-        if np.max(np.abs(res)) < 1e-10:
-            break
-    l = _unpack(x, real)
-    r1 = l @ l.conj().T
-    max_res = float(np.max(np.abs(_equality_residuals(r1, a_ops, targets))))
-    summary = RestartSummary(
-        final_objective=float(np.real(np.trace(sig @ r1))),
-        iterations=iterations,
-        max_equality_residual=max_res,
-        converged=clean_exit and max_res < FEASIBILITY_ATOL,
-    )
-    return r1, summary
-
-
-def maximize(pair: StatePair, t: float, cfg: OracleConfig | None = None,
-             warm_start: np.ndarray | None = None) -> OracleResult:
+def maximize(pair: StatePair, t: float, cfg: OracleConfig | None = None) -> OracleResult:
     """Maximize Tr[Sigma R1] over the constraint set; achieved_D = 1 - best objective.
 
-    Multi-restart and deterministic given cfg.seed (restart k draws from the
-    stream (seed, k)). An optional warm_start Choi operator replaces the random
-    initial point of restart 0. Non-convergence is reported through the result
-    record, not raised.
+    Deterministic: identical arguments give bit-identical results. cfg is
+    accepted and ignored. Never consults the closed forms in `tradeoff`.
     """
-    cfg = cfg or OracleConfig()
     t = float(t)
     alpha = float(pair.alpha)
     if not 0.0 < alpha < np.pi / 4:
@@ -213,49 +199,22 @@ def maximize(pair: StatePair, t: float, cfg: OracleConfig | None = None,
         raise ValueError(f"t must lie in [0, 1], got {t!r}")
     sig = sigma_objective(pair)
 
-    if 1.0 - t < _FACE_THRESHOLD:
+    if t == 1.0:
+        # The face reduction is exact: its optimum is its own certificate.
         r1, obj = _face_solution(sig)
-        summary = RestartSummary(final_objective=obj, iterations=0,
-                                 max_equality_residual=0.0, converged=True)
-        return OracleResult(
-            best_R1=r1,
-            achieved_D=1.0 - obj,
-            constraint_residuals=constraint_residuals(r1, pair, t),
-            objective_history_summary=(summary,),
-            converged=True,
-        )
-
-    a_ops = _constraint_operators()
-    targets = np.array([1.0, 0.0, t])
-    best_r1 = None
-    best_summary = None
-    best_key = None
-    summaries = []
-    for k in range(cfg.restarts):
-        if warm_start is not None and k == 0:
-            l0 = _lower_triangular_factor(np.asarray(warm_start, dtype=complex))
-        else:
-            rng = np.random.default_rng((int(cfg.seed), k))
-            l0 = np.zeros((4, 4), dtype=complex)
-            raw = rng.standard_normal(10)
-            if not cfg.restrict_real:
-                raw = raw + 1j * rng.standard_normal(10)
-            l0[_TRIL] = raw
-            l0 /= np.sqrt(np.real(np.trace(l0 @ l0.conj().T)))
-        if cfg.restrict_real:
-            l0 = l0.real.astype(complex)
-        r1, summary = _run_restart(l0, sig, a_ops, targets, cfg)
-        summaries.append(summary)
-        # Feasibility dominates, then the objective.
-        key = (summary.max_equality_residual < FEASIBILITY_ATOL, summary.final_objective)
-        if best_key is None or key > best_key:
-            best_r1, best_summary, best_key = r1, summary, key
+        achieved = lower = 1.0 - obj
+    else:
+        # Sigma is real for every StatePair, so the dual works in real arithmetic.
+        gibbs, dual = _dual_newton(sig.real, t)
+        r1 = gibbs.astype(complex)
+        achieved = 1.0 - float(np.sum(sig.real * gibbs))
+        lower = 1.0 - dual
     return OracleResult(
-        best_R1=best_r1,
-        achieved_D=1.0 - best_summary.final_objective,
-        constraint_residuals=constraint_residuals(best_r1, pair, t),
-        objective_history_summary=tuple(summaries),
-        converged=best_summary.converged,
+        best_R1=r1,
+        achieved_D=achieved,
+        lower_bound_D=lower,
+        certified_gap=achieved - lower,
+        constraint_residuals=constraint_residuals(r1, pair, t),
     )
 
 
@@ -266,7 +225,8 @@ class VerificationPoint:
     closed_D: float
     gap: float
     max_residual: float
-    converged: bool
+    lower_bound_D: float
+    certified_gap: float
     passed: bool
 
 
@@ -281,26 +241,9 @@ class VerificationReport:
     no_superoptimality: bool = True
 
     def as_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "tolerance": self.tolerance,
-            "points": [
-                {
-                    "t": p.t,
-                    "oracle_D": p.oracle_D,
-                    "closed_D": p.closed_D,
-                    "gap": p.gap,
-                    "max_residual": p.max_residual,
-                    "converged": p.converged,
-                    "passed": p.passed,
-                }
-                for p in self.points
-            ],
-            "max_gap": self.max_gap,
-            "all_passed": self.all_passed,
-            "superoptimality_margin": self.superoptimality_margin,
-            "no_superoptimality": self.no_superoptimality,
-        }
+        payload = asdict(self)
+        payload["points"] = list(payload["points"])
+        return payload
 
 
 def verify_closed_form(pair: StatePair, t_grid, cfg: OracleConfig | None = None,
@@ -310,14 +253,17 @@ def verify_closed_form(pair: StatePair, t_grid, cfg: OracleConfig | None = None,
     A point passes when |D_oracle - D_t| <= tol. The report also certifies that
     the oracle never lands below the closed form by more than the solver
     witness tolerance (the closed form is a true lower bound on disturbance).
+    cfg is accepted and ignored.
     """
     t_grid = [float(t) for t in t_grid]
     if not t_grid:
         raise ValueError("t grid must be nonempty")
-    cfg = cfg or OracleConfig()
+    tol = float(tol)
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     points = []
     for t in t_grid:
-        result = maximize(pair, t, cfg)
+        result = maximize(pair, t)
         closed = tradeoff_point(pair.alpha, t).D
         gap = abs(result.achieved_D - closed)
         max_res = float(np.max(np.abs(result.constraint_residuals)))
@@ -327,13 +273,14 @@ def verify_closed_form(pair: StatePair, t_grid, cfg: OracleConfig | None = None,
             closed_D=closed,
             gap=gap,
             max_residual=max_res,
-            converged=result.converged,
+            lower_bound_D=result.lower_bound_D,
+            certified_gap=result.certified_gap,
             passed=bool(gap <= tol and max_res <= FEASIBILITY_ATOL),
         ))
     margin = max(0.0, max(p.closed_D - p.oracle_D for p in points))
     return VerificationReport(
         alpha=float(pair.alpha),
-        tolerance=float(tol),
+        tolerance=tol,
         points=tuple(points),
         max_gap=max(p.gap for p in points),
         all_passed=all(p.passed for p in points),

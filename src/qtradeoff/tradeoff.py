@@ -68,9 +68,14 @@ def tilt_disturbance(alpha: float, beta: float) -> float:
 
 
 def helstrom_min_disturbance(alpha: float) -> float:
-    """Minimum disturbance of the minimum-error measurement: (4 - sqrt(14 + 2 cos 8a))/8."""
+    """Minimum disturbance of the minimum-error measurement: (4 - sqrt(14 + 2 cos 8a))/8.
+
+    Evaluated as sin^2 4a / (4 (2 + sqrt(4 - sin^2 4a))), which is the same
+    value without the cancellation of the difference form as a -> 0 or pi/4.
+    """
     alpha = _check_alpha(alpha)
-    return float((4.0 - np.sqrt(14.0 + 2.0 * np.cos(8.0 * alpha))) / 8.0)
+    s2 = np.sin(4.0 * alpha) ** 2
+    return float(s2 / (4.0 * (2.0 + np.sqrt(4.0 - s2))))
 
 
 def tilt_t(alpha: float, t: float) -> float:

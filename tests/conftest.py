@@ -1,8 +1,11 @@
 """Shared random-object helpers for the test suite."""
+import dataclasses
+
 import numpy as np
 import pytest
 
 from qtradeoff import Instrument
+from qtradeoff import oracle as oracle_module
 
 
 def random_unitary(rng, dim=2):
@@ -39,6 +42,13 @@ def random_instrument(rng, kraus_counts=(1, 1)):
     vals, vecs = np.linalg.eigh(total)
     inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.conj().T
     return Instrument(outcomes=tuple(tuple(e @ inv_sqrt for e in ops) for ops in blocks))
+
+
+def shift_closed_form(monkeypatch, delta):
+    """Make verify_closed_form compare the oracle against D_t + delta."""
+    exact = oracle_module.tradeoff_point
+    monkeypatch.setattr(oracle_module, "tradeoff_point",
+                        lambda alpha, t: dataclasses.replace(exact(alpha, t), D=exact(alpha, t).D + delta))
 
 
 @pytest.fixture

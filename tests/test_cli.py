@@ -1,12 +1,17 @@
 """Command line behavior: formats, exit codes, determinism, degenerate inputs."""
 import json
 import math
+import os
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
+import qtradeoff
 from qtradeoff.cli import main
+
+from conftest import shift_closed_form
 
 PI8 = math.pi / 8
 
@@ -126,30 +131,44 @@ class TestPoint:
 
 class TestVerify:
     def test_small_grid_passes(self, capsys):
-        code, out, _ = run_cli(capsys, ["verify", "--fsq", "0.5", "--points", "3",
-                                        "--restarts", "2"])
+        code, out, _ = run_cli(capsys, ["verify", "--fsq", "0.5", "--points", "3"])
         assert code == 0
         payload = json.loads(out)
         assert payload["all_passed"] is True
         assert payload["max_gap"] <= 1e-4
         assert payload["no_superoptimality"] is True
 
-    def test_unreachable_tolerance_exits_one(self, capsys):
-        # solver precision sits around 1e-11, below any sane tolerance but
-        # above 1e-12
-        code, out, _ = run_cli(capsys, ["verify", "--fsq", "0.5", "--points", "3",
-                                        "--restarts", "2", "--tol", "1e-12"])
+    def test_reproducible_bytes_and_keys(self, capsys):
+        argv = ["verify", "--fsq", "0.5", "--points", "5"]
+        code_a, out_a, _ = run_cli(capsys, argv)
+        code_b, out_b, _ = run_cli(capsys, argv)
+        assert code_a == code_b == 0
+        assert out_a == out_b
+        payload = json.loads(out_a)
+        assert list(payload) == ["library", "version", "rng", "alpha", "tolerance", "points",
+                                 "max_gap", "all_passed", "superoptimality_margin",
+                                 "no_superoptimality"]
+        assert list(payload["points"][0]) == ["t", "oracle_D", "closed_D", "gap", "max_residual",
+                                              "lower_bound_D", "certified_gap", "passed"]
+
+    def test_unreachable_tolerance_exits_one(self, capsys, monkeypatch):
+        # a closed form off by 1e-3 must fail the default tolerance of 1e-4
+        shift_closed_form(monkeypatch, 1e-3)
+        code, out, _ = run_cli(capsys, ["verify", "--fsq", "0.5", "--points", "3"])
         assert code == 1
         assert json.loads(out)["all_passed"] is False
 
-    def test_seed_does_not_change_pass_fail(self, capsys):
-        code_a, out_a, _ = run_cli(capsys, ["verify", "--fsq", "0.5", "--points", "2",
-                                            "--restarts", "2", "--seed", "7"])
-        code_b, out_b, _ = run_cli(capsys, ["verify", "--fsq", "0.5", "--points", "2",
-                                            "--restarts", "2", "--seed", "8"])
-        assert code_a == code_b == 0
-        assert json.loads(out_a)["points"][0]["oracle_D"] != \
-               json.loads(out_b)["points"][0]["oracle_D"]
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    def test_invalid_tolerance_is_usage_error(self, tol, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--fsq", "0.5", "--points", "2", "--tol", tol])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag", [["--seed", "7"], ["--restarts", "2"], ["--restrict-real"]])
+    def test_removed_solver_flags_are_usage_errors(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--fsq", "0.5", "--points", "2"] + flag)
+        assert exc.value.code == 2
 
     def test_degenerate_alpha_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -204,3 +223,14 @@ class TestUsageErrors:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["P"] == pytest.approx(0.6767766952966369, abs=1e-12)
+
+
+def test_import_does_not_load_scipy():
+    src = str(pathlib.Path(qtradeoff.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, qtradeoff; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -88,6 +88,15 @@ class TestHelstromMinDisturbance:
         values = [helstrom_min_disturbance(a) for a in grid]
         assert abs(grid[int(np.argmax(values))] - PI8) <= grid[1] - grid[0]
 
+    @pytest.mark.parametrize("alpha", [1e-2, 1e-4, 1e-6, 1e-8, PI8, math.pi / 4 - 1e-6])
+    def test_relative_accuracy_against_mpmath(self, alpha):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            a = mpmath.mpf(alpha)  # the exact binary value of the float argument
+            reference = (4 - mpmath.sqrt(14 + 2 * mpmath.cos(8 * a))) / 8
+            rel = abs((mpmath.mpf(helstrom_min_disturbance(alpha)) - reference) / reference)
+        assert rel <= 1e-13
+
 
 class TestTiltT:
     def test_no_measurement_no_tilt(self):
