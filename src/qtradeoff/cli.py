@@ -165,12 +165,12 @@ def cmd_simulate(parser: argparse.ArgumentParser, args) -> int:
     alpha = _resolve_alpha(parser, args)
     if not 0.0 <= args.t <= 1.0:
         parser.error(f"--t must lie in [0, 1], got {args.t}")
-    if args.shots < 1:
-        parser.error("--shots must be >= 1")
-    pair = symmetric_pair(alpha)
+    try:
+        cfg = SimulationConfig(shots=args.shots, seed=args.seed)
+    except ValueError as exc:
+        parser.error(str(exc))
     pt = tradeoff_point(alpha, args.t)
-    result = run(optimal_instrument(alpha, args.t), pair,
-                 SimulationConfig(shots=args.shots, seed=args.seed))
+    result = run(optimal_instrument(alpha, args.t), symmetric_pair(alpha), cfg)
 
     def zscore(emp, closed, stderr):
         if stderr == 0.0:

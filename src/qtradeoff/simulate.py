@@ -1,10 +1,11 @@
 """Seeded Monte Carlo of the discrimination experiment.
 
-Each shot draws one of the two states uniformly, samples a measurement outcome
-from the POVM statistics, records a success indicator and the fidelity of the
-normalized posterior with the input state. Averaging the per-shot disturbance
-over the sampled outcome is an unbiased estimator of the outcome-averaged
-channel disturbance.
+Each shot draws one of the two states uniformly and an outcome from the POVM
+statistics, landing in one of four (state, outcome) cells with exact
+probabilities and per-shot disturbances (one minus the posterior fidelity). A
+run makes one multinomial draw of `shots` over the cells and computes the
+sample means and standard errors exactly from the four counts, in time and
+memory independent of `shots`.
 """
 from __future__ import annotations
 
@@ -12,11 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instruments import Instrument, apply_outcome, povm
+from .instruments import Instrument, apply_outcome
 from .qubit import StatePair, projector
 
 # Pinned in output metadata so results can be reproduced across platforms.
 RNG_ALGORITHM = f"numpy.random.Generator(PCG64) numpy=={np.__version__}"
+
+MAX_SHOTS = 2 ** 63 - 1  # the largest count numpy's multinomial accepts
 
 # Per-shot disturbances below double-precision resolution are round-off.
 _ROUNDOFF = 1e-12
@@ -28,10 +31,10 @@ class SimulationConfig:
     seed: int
 
     def __post_init__(self):
-        if self.shots < 1:
-            raise ValueError("shots must be >= 1")
+        if not isinstance(self.shots, (int, np.integer)) or not 1 <= self.shots <= MAX_SHOTS:
+            raise ValueError(f"shots must be an integer in [1, 2**63 - 1], got {self.shots!r}")
         if not 0 <= int(self.seed) < 2 ** 64:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
+            raise ValueError(f"seed must fit in an unsigned 64-bit integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -46,10 +49,11 @@ class SimulationResult:
 
 def _cell_tables(inst: Instrument, pair: StatePair) -> tuple[np.ndarray, np.ndarray]:
     """Outcome probabilities p[i, j] and per-shot disturbances d[i, j]."""
-    states = (pair.psi1, pair.psi2)
+    if inst.n_outcomes != 2:
+        raise ValueError("simulation requires a two-outcome instrument")
     probs = np.zeros((2, 2))
     dist = np.zeros((2, 2))
-    for i, psi in enumerate(states):
+    for i, psi in enumerate((pair.psi1, pair.psi2)):
         rho = projector(psi)
         for j in range(2):
             out, p = apply_outcome(inst, j, rho)
@@ -61,15 +65,13 @@ def _cell_tables(inst: Instrument, pair: StatePair) -> tuple[np.ndarray, np.ndar
     return probs, dist
 
 
-def _sample_cells(probs: np.ndarray, cfg: SimulationConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Draw (state index, outcome index) for every shot."""
+def _draw_counts(probs: np.ndarray, cfg: SimulationConfig) -> np.ndarray:
+    """Counts over the four (state, outcome) cells from one multinomial draw."""
     rng = np.random.default_rng(int(cfg.seed))
-    which = rng.integers(0, 2, size=cfg.shots)
-    # Outcome 0 fires when u < p[i, 0]; u in [0, 1) never lands on a
-    # zero-probability branch.
-    u = rng.random(cfg.shots)
-    outcome = (u >= probs[which, 0]).astype(np.int64)
-    return which, outcome
+    # The draw rejects negative round-off, and sums above 1 + 1e-12 that the
+    # 1e-10 completeness tolerance of Instrument allows.
+    cells = 0.5 * np.clip(probs, 0.0, None).ravel()
+    return rng.multinomial(int(cfg.shots), cells / cells.sum()).reshape(2, 2)
 
 
 def run(inst: Instrument, pair: StatePair, cfg: SimulationConfig) -> SimulationResult:
@@ -80,27 +82,25 @@ def run(inst: Instrument, pair: StatePair, cfg: SimulationConfig) -> SimulationR
     posterior fidelity for the sampled (state, outcome) cell. Returns sample
     means with standard errors (sample standard deviation / sqrt(shots)).
     """
-    if inst.n_outcomes != 2:
-        raise ValueError("simulation requires a two-outcome instrument")
     probs, dist = _cell_tables(inst, pair)
-    which, outcome = _sample_cells(probs, cfg)
-    success = (outcome == which).astype(float)
-    per_shot_d = dist[which, outcome]
-    ddof = 1 if cfg.shots > 1 else 0
+    counts = _draw_counts(probs, cfg).astype(float)
+    n = int(cfg.shots)
+    # Success indicator and disturbance per cell, weighted by the counts: the
+    # mean() and std(ddof=1) of per-shot arrays (ddof=0 for a single shot).
+    values = np.stack([np.eye(2), dist])
+    mean = np.sum(counts * values, axis=(1, 2)) / n
+    var = np.sum(counts * (values - mean[:, None, None]) ** 2, axis=(1, 2)) / max(n - 1, 1)
+    stderr = np.sqrt(var / n)
     return SimulationResult(
-        empirical_P=float(success.mean()),
-        empirical_D=float(per_shot_d.mean()),
-        stderr_P=float(success.std(ddof=ddof) / np.sqrt(cfg.shots)),
-        stderr_D=float(per_shot_d.std(ddof=ddof) / np.sqrt(cfg.shots)),
-        shots=int(cfg.shots),
+        empirical_P=float(mean[0]),
+        empirical_D=float(mean[1]),
+        stderr_P=float(stderr[0]),
+        stderr_D=float(stderr[1]),
+        shots=n,
         seed=int(cfg.seed),
     )
 
 
 def outcome_counts(inst: Instrument, pair: StatePair, cfg: SimulationConfig) -> np.ndarray:
-    """Counts over the four (state, outcome) cells, same stream as run()."""
-    probs, _ = _cell_tables(inst, pair)
-    which, outcome = _sample_cells(probs, cfg)
-    counts = np.zeros((2, 2), dtype=np.int64)
-    np.add.at(counts, (which, outcome), 1)
-    return counts
+    """Counts over the four (state, outcome) cells, the same draw as run()."""
+    return _draw_counts(_cell_tables(inst, pair)[0], cfg)

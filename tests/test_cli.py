@@ -211,6 +211,9 @@ class TestUsageErrors:
         ["point", "--fsq", "0.5", "--t", "1.5"],
         ["simulate", "--fsq", "0.5", "--t", "0.5", "--shots", "0"],
         ["curve", "--fsq", "1", "--by-probability"],
+        ["simulate", "--fsq", "0.5", "--t", "1", "--seed", "-1"],
+        ["simulate", "--fsq", "0.5", "--t", "1", "--seed", str(2**64)],
+        ["simulate", "--fsq", "0.5", "--t", "1", "--shots", str(10**20)],
     ])
     def test_exit_code_two(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -140,6 +140,16 @@ class TestMaximize:
     def test_certificate_where_dual_is_flat(self, alpha, t):
         assert_certified(alpha, t)
 
+    # Near t = 1 the dual variable grows to about 1e5, and the eigenvalue
+    # rounding in the dual value, a few eps * |y|, reaches 1e-11.
+    @pytest.mark.parametrize("alpha", [0.02, 0.1, 0.39, 0.6, 0.77, 0.785])
+    def test_lower_bound_holds_near_full_strength(self, alpha):
+        for k in range(8, 14):
+            t = 1.0 - 10.0 ** -k
+            result = maximize(symmetric_pair(alpha), t)
+            assert result.lower_bound_D <= tradeoff_point(alpha, t).D, f"alpha={alpha}, t={t}"
+            assert result.certified_gap <= 1e-6, f"alpha={alpha}, t={t}"
+
     def test_independent_of_closed_forms(self, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("the oracle consulted a closed form")
