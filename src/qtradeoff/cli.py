@@ -205,44 +205,42 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_curve = sub.add_parser("curve", help="emit the optimal tradeoff curve")
-    _add_input_arguments(p_curve)
+    def command(name, func, summary):
+        # Each command reports usage errors through its own parser.
+        p = sub.add_parser(name, help=summary)
+        _add_input_arguments(p)
+        p.set_defaults(func=lambda args: func(p, args))
+        return p
+
+    p_curve = command("curve", cmd_curve, "emit the optimal tradeoff curve")
     p_curve.add_argument("--points", type=int, default=101, help="number of samples (default 101)")
     p_curve.add_argument("--by-probability", action="store_true",
                          help="sample uniformly in P instead of t")
     p_curve.add_argument("--format", choices=("csv", "json"), default="csv")
     p_curve.add_argument("--out", default=None, help="output path (default stdout)")
-    p_curve.set_defaults(func=cmd_curve)
 
-    p_point = sub.add_parser("point", help="one tradeoff point with Kraus operators and POVM")
-    _add_input_arguments(p_point)
+    p_point = command("point", cmd_point, "one tradeoff point with Kraus operators and POVM")
     p_point.add_argument("--t", type=float, required=True, help="control parameter in [0, 1]")
     p_point.add_argument("--out", default=None)
-    p_point.set_defaults(func=cmd_point)
 
-    p_verify = sub.add_parser("verify", help="compare the optimization oracle with the closed form")
-    _add_input_arguments(p_verify)
+    p_verify = command("verify", cmd_verify, "compare the optimization oracle with the closed form")
     p_verify.add_argument("--points", type=int, default=5,
                           help="uniform t grid size on [0, 1] (default 5)")
     p_verify.add_argument("--tol", type=float, default=1e-4,
                           help="pass threshold on |D_oracle - D_closed| (default 1e-4)")
     p_verify.add_argument("--out", default=None)
-    p_verify.set_defaults(func=cmd_verify)
 
-    p_sim = sub.add_parser("simulate", help="Monte Carlo run of the optimal instrument")
-    _add_input_arguments(p_sim)
+    p_sim = command("simulate", cmd_simulate, "Monte Carlo run of the optimal instrument")
     p_sim.add_argument("--t", type=float, required=True)
     p_sim.add_argument("--shots", type=int, default=1000000)
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--out", default=None)
-    p_sim.set_defaults(func=cmd_simulate)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(parser, args)
+    args = build_parser().parse_args(argv)
+    return args.func(args)
 
 
 def entrypoint() -> None:

@@ -60,7 +60,10 @@ class OracleResult:
     best_R1 is positive with unit trace and meets the two remaining linear
     conditions to within constraint_residuals; achieved_D = 1 - Tr[Sigma R1].
     lower_bound_D is a proven lower bound on the minimum disturbance, with an
-    allowance for eigenvalue rounding, and certified_gap = achieved_D - lower_bound_D.
+    allowance for eigenvalue rounding. certified_gap = achieved_D - lower_bound_D
+    + |lambda_max r_tr| + |y1 r_sx| + |y2 r_sz| for the dual point y that set the
+    bound and R1's residuals r in the trace, sx and sz conditions; by weak
+    duality it is never negative.
     """
 
     best_R1: np.ndarray
@@ -159,8 +162,8 @@ def _line_search(sig, y, t, mu, g, grad, step):
     return None
 
 
-def _dual_newton(sig: np.ndarray, t: float) -> tuple[np.ndarray, float]:
-    """The best stage-final Gibbs state and the least dual value seen.
+def _dual_newton(sig: np.ndarray, t: float) -> tuple[np.ndarray, float, np.ndarray]:
+    """The best stage-final Gibbs state, the least dual value seen and its dual point.
 
     Where the top eigenvalue is degenerate at the optimum (e.g. t = 0), the
     gradient carries rounding of order eps/mu, so the last stage is not always
@@ -168,11 +171,11 @@ def _dual_newton(sig: np.ndarray, t: float) -> tuple[np.ndarray, float]:
     constraint residual and its distance to the dual bound.
     """
     y = np.zeros(2)
-    best_dual = math.inf
+    best = (math.inf, y)  # the least dual value seen and its dual point
     stage_ends = []
     for mu in _SMOOTHING_SCHEDULE:
         g, grad, hess, dual, gibbs = _smoothed_dual(sig, y, t, mu)
-        best_dual = min(best_dual, dual)
+        best = min(best, (dual, y), key=lambda b: b[0])
         for _ in range(_NEWTON_STEPS_PER_STAGE):
             try:
                 newton = np.linalg.solve(hess, -grad)
@@ -185,10 +188,10 @@ def _dual_newton(sig: np.ndarray, t: float) -> tuple[np.ndarray, float]:
             if accepted is None:
                 break
             y, (g, grad, hess, dual, gibbs) = accepted
-            best_dual = min(best_dual, dual)
+            best = min(best, (dual, y), key=lambda b: b[0])
         stage_ends.append((gibbs, np.abs(grad).max(), float(np.sum(sig * gibbs))))
-    gibbs = min(stage_ends, key=lambda e: max(e[1], abs(best_dual - e[2])))[0]
-    return gibbs, best_dual
+    gibbs = min(stage_ends, key=lambda e: max(e[1], abs(best[0] - e[2])))[0]
+    return gibbs, *best
 
 
 def maximize(pair: StatePair, t: float, cfg: OracleConfig | None = None) -> OracleResult:
@@ -209,18 +212,25 @@ def maximize(pair: StatePair, t: float, cfg: OracleConfig | None = None) -> Orac
         # The face reduction is exact: its optimum is its own certificate.
         r1, obj = _face_solution(sig)
         achieved = lower = 1.0 - obj
+        weights = np.zeros(3)
     else:
         # Sigma is real for every StatePair, so the dual works in real arithmetic.
-        gibbs, dual = _dual_newton(sig.real, t)
+        gibbs, dual, y = _dual_newton(sig.real, t)
         r1 = gibbs.astype(complex)
         achieved = 1.0 - float(np.sum(sig.real * gibbs))
         lower = 1.0 - dual
+        lam_max = np.linalg.eigvalsh(sig.real - np.tensordot(y, _DUAL_OPS, 1))[-1]
+        weights = np.array([lam_max, *y])
+    residuals = constraint_residuals(r1, pair, t)
+    # Weak duality at y: Tr[Sigma R1] <= dual + lambda_max r_tr + y1 r_sx + y2 r_sz.
+    # The face solution meets the conditions exactly.
+    slack = float(np.abs(weights * residuals[1:]).sum())
     return OracleResult(
         best_R1=r1,
         achieved_D=achieved,
         lower_bound_D=lower,
-        certified_gap=achieved - lower,
-        constraint_residuals=constraint_residuals(r1, pair, t),
+        certified_gap=achieved - lower + slack,
+        constraint_residuals=residuals,
     )
 
 

@@ -83,11 +83,17 @@ class StatePair:
         return float(np.sin(2.0 * self.alpha))
 
 
-def symmetric_pair(alpha: float) -> StatePair:
-    """Build the symmetric pair at half-angle alpha, radians in [0, pi/4]."""
+def check_alpha(alpha: float) -> float:
+    """The half-angle as a float; raises ValueError outside [0, pi/4] (NaN included)."""
     alpha = float(alpha)
     if not 0.0 <= alpha <= np.pi / 4:
         raise ValueError(f"alpha must lie in [0, pi/4], got {alpha!r}")
+    return alpha
+
+
+def symmetric_pair(alpha: float) -> StatePair:
+    """Build the symmetric pair at half-angle alpha, radians in [0, pi/4]."""
+    alpha = check_alpha(alpha)
     psi1 = np.array([np.cos(alpha), np.sin(alpha)], dtype=complex)
     psi2 = np.array([np.sin(alpha), np.cos(alpha)], dtype=complex)
     return StatePair(alpha=alpha, psi1=psi1, psi2=psi2)

@@ -33,8 +33,8 @@ class SimulationConfig:
     def __post_init__(self):
         if not isinstance(self.shots, (int, np.integer)) or not 1 <= self.shots <= MAX_SHOTS:
             raise ValueError(f"shots must be an integer in [1, 2**63 - 1], got {self.shots!r}")
-        if not 0 <= int(self.seed) < 2 ** 64:
-            raise ValueError(f"seed must fit in an unsigned 64-bit integer, got {self.seed!r}")
+        if not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed < 2 ** 64:
+            raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
 
 
 @dataclass(frozen=True)

@@ -5,26 +5,19 @@ symmetric state pair and of the control parameter t in [0, 1] that fixes the
 success probability P_t = t cos^2 a + (1-t)/2. t = 0 is the identity channel
 (no measurement), t = 1 is the minimum-error measurement with the least
 disturbing feedback.
+
+On the optimal curve D_t = (1 - sqrt(1 - s^2))/2 with s = (sin 4a / 2)(1 -
+sqrt(1 - t^2)). Both differences 1 - sqrt(1 - x^2) are evaluated as
+x^2 / (1 + sqrt(1 - x^2)), which does not cancel as x -> 0.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .instruments import Instrument
-from .qubit import ID2, SIGMA_Z
-
-# Round-off guard when clamping disturbances that are analytically zero.
-_ZERO_CLAMP = 1e-12
-
-
-def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if not 0.0 <= alpha <= np.pi / 4:
-        raise ValueError(f"alpha must lie in [0, pi/4], got {alpha!r}")
-    return alpha
+from .qubit import ID2, SIGMA_Z, check_alpha
 
 
 def _check_t(t: float) -> float:
@@ -34,24 +27,28 @@ def _check_t(t: float) -> float:
     return t
 
 
+def _gamma(t: float) -> float:
+    """sqrt(1 - t^2), with 1 - t^2 factored so that it stays accurate as t -> 1."""
+    return float(np.sqrt((1.0 - t) * (1.0 + t)))
+
+
+def _curve_disturbance(s: float) -> float:
+    """The root (1 - sqrt(1 - s^2))/2 of D (1 - D) = s^2/4, for s in [0, 1/2]."""
+    return float(s * s / (2.0 * (1.0 + np.sqrt(1.0 - s * s))))
+
+
 def helstrom_probability(alpha: float) -> float:
     """Maximum achievable success probability cos^2 a."""
-    alpha = _check_alpha(alpha)
-    return float(np.cos(alpha) ** 2)
+    return float(np.cos(check_alpha(alpha)) ** 2)
 
 
 def optimal_tilt(alpha: float) -> float:
     """Feedback tilt minimizing the disturbance of the minimum-error measurement.
 
-    Solves tan 2b = tan 2a / cos 2a on the branch 2b in [0, pi/2]; b >= a. The
-    a = pi/4 endpoint is degenerate and resolves to b = pi/4 by continuity
-    (a warning is emitted).
+    Solves tan 2b = tan 2a / cos 2a on the branch 2b in [0, pi/2]; b >= a. At
+    a = pi/4 both sides are infinite and arctan2 returns the limit b = pi/4.
     """
-    alpha = _check_alpha(alpha)
-    if alpha == np.pi / 4:
-        warnings.warn("optimal_tilt is degenerate at alpha = pi/4; returning the pi/4 limit",
-                      RuntimeWarning, stacklevel=2)
-        return float(np.pi / 4)
+    alpha = check_alpha(alpha)
     return float(0.5 * np.arctan2(np.tan(2.0 * alpha), np.cos(2.0 * alpha)))
 
 
@@ -60,7 +57,7 @@ def tilt_disturbance(alpha: float, beta: float) -> float:
 
     D(b) = 1 - cos^2 a cos^2(b - a) - sin^2 a sin^2(a + b).
     """
-    alpha = _check_alpha(alpha)
+    alpha = check_alpha(alpha)
     beta = float(beta)
     return float(1.0
                  - np.cos(alpha) ** 2 * np.cos(beta - alpha) ** 2
@@ -70,30 +67,23 @@ def tilt_disturbance(alpha: float, beta: float) -> float:
 def helstrom_min_disturbance(alpha: float) -> float:
     """Minimum disturbance of the minimum-error measurement: (4 - sqrt(14 + 2 cos 8a))/8.
 
-    Evaluated as sin^2 4a / (4 (2 + sqrt(4 - sin^2 4a))), which is the same
-    value without the cancellation of the difference form as a -> 0 or pi/4.
+    The curve's D_t at t = 1, i.e. at s = sin 4a / 2, which does not cancel as
+    a -> 0 or pi/4 as the difference form does.
     """
-    alpha = _check_alpha(alpha)
-    s2 = np.sin(4.0 * alpha) ** 2
-    return float(s2 / (4.0 * (2.0 + np.sqrt(4.0 - s2))))
+    return _curve_disturbance(np.sin(4.0 * check_alpha(alpha)) / 2.0)
 
 
 def tilt_t(alpha: float, t: float) -> float:
     """Feedback tilt of the optimal instrument at control parameter t.
 
     tan 2b_t = t sin 2a / (cos^2 2a + g sin^2 2a) with g = sqrt(1 - t^2), on the
-    branch 2b_t in [0, pi/2]. At t = 1 this reduces to optimal_tilt. The corner
-    a = pi/4, t = 1 is degenerate and resolves to pi/4 by continuity.
+    branch 2b_t in [0, pi/2]. At t = 1 this reduces to optimal_tilt; at the
+    corner a = pi/4, t = 1 the denominator vanishes and arctan2 returns pi/4.
     """
-    alpha = _check_alpha(alpha)
+    alpha = check_alpha(alpha)
     t = _check_t(t)
-    if alpha == np.pi / 4 and t == 1.0:
-        warnings.warn("tilt is degenerate at alpha = pi/4, t = 1; returning the pi/4 limit",
-                      RuntimeWarning, stacklevel=2)
-        return float(np.pi / 4)
-    gamma = np.sqrt(max(0.0, 1.0 - t * t))
     num = t * np.sin(2.0 * alpha)
-    den = np.cos(2.0 * alpha) ** 2 + gamma * np.sin(2.0 * alpha) ** 2
+    den = np.cos(2.0 * alpha) ** 2 + _gamma(t) * np.sin(2.0 * alpha) ** 2
     return float(0.5 * np.arctan2(num, den))
 
 
@@ -104,9 +94,9 @@ def feedback_unitary(beta: float) -> np.ndarray:
 
 
 def _measurement_kraus(t: float) -> tuple[np.ndarray, np.ndarray]:
-    gamma = np.sqrt(max(0.0, 1.0 - t * t))
-    a = np.sqrt(1.0 - gamma) / 2.0
-    b = np.sqrt(1.0 + gamma) / 2.0
+    # sqrt(1 - g) = t / sqrt(1 + g), which does not cancel as t -> 0.
+    root = np.sqrt(1.0 + _gamma(t))
+    a, b = t / (2.0 * root), root / 2.0
     return a * SIGMA_Z + b * ID2, -a * SIGMA_Z + b * ID2
 
 
@@ -118,7 +108,7 @@ def optimal_instrument(alpha: float, t: float) -> Instrument:
     tilt of tilt_t. t = 0 gives the identity channel with a uniformly random
     outcome, t = 1 the measure-and-prepare minimum-error instrument.
     """
-    alpha = _check_alpha(alpha)
+    alpha = check_alpha(alpha)
     t = _check_t(t)
     m1, m2 = _measurement_kraus(t)
     u = feedback_unitary(tilt_t(alpha, t))
@@ -131,7 +121,7 @@ def no_feedback_instrument(alpha: float, t: float) -> Instrument:
     Shares the POVM (hence the success probability) of optimal_instrument but
     disturbs strictly more for 0 < a < pi/4 and t > 0.
     """
-    alpha = _check_alpha(alpha)
+    alpha = check_alpha(alpha)
     t = _check_t(t)
     m1, m2 = _measurement_kraus(t)
     return Instrument(outcomes=((m1,), (m2,)))
@@ -159,18 +149,12 @@ class NormalizedPoint:
 
 def tradeoff_point(alpha: float, t: float) -> TradeoffPoint:
     """Evaluate the optimal curve at (a, t)."""
-    alpha = _check_alpha(alpha)
+    alpha = check_alpha(alpha)
     t = _check_t(t)
-    gamma = float(np.sqrt(max(0.0, 1.0 - t * t)))
-    beta_t = tilt_t(alpha, t)
+    gamma = _gamma(t)
     p = float(t * np.cos(alpha) ** 2 + (1.0 - t) / 2.0)
-    c4 = np.cos(4.0 * alpha)
-    d = (0.5 * (1.0 - t * np.sin(2.0 * alpha) * np.sin(2.0 * beta_t))
-         + (np.cos(2.0 * beta_t) / 4.0) * (gamma * (c4 - 1.0) - c4 - 1.0))
-    if -_ZERO_CLAMP < d < 0.0:
-        d = 0.0
-    d = float(min(max(d, 0.0), 1.0))
-    return TradeoffPoint(alpha=alpha, t=t, P=p, D=d, beta_t=beta_t, gamma=gamma)
+    d = _curve_disturbance(np.sin(4.0 * alpha) * t * t / (2.0 * (1.0 + gamma)))
+    return TradeoffPoint(alpha=alpha, t=t, P=p, D=d, beta_t=tilt_t(alpha, t), gamma=gamma)
 
 
 def normalized(alpha: float, p: float, d: float) -> NormalizedPoint:
@@ -178,7 +162,7 @@ def normalized(alpha: float, p: float, d: float) -> NormalizedPoint:
 
     Undefined (0/0) at a = 0 and a = pi/4; those raise.
     """
-    alpha = _check_alpha(alpha)
+    alpha = check_alpha(alpha)
     if alpha == 0.0 or alpha == np.pi / 4:
         raise ValueError("normalization is undefined at alpha in {0, pi/4}")
     p_opt = helstrom_probability(alpha)
@@ -192,7 +176,7 @@ def tradeoff_identity_residual(alpha: float, info: float, dist: float) -> float:
     sqrt(D_opt dist (1 - D_opt dist)) - (sin 4a / 4)(1 - sqrt(1 - info^2));
     zero on the optimal curve and strictly positive for suboptimal instruments.
     """
-    alpha = _check_alpha(alpha)
+    alpha = check_alpha(alpha)
     if alpha == 0.0 or alpha == np.pi / 4:
         raise ValueError("identity residual requires 0 < alpha < pi/4")
     # Ratios computed from the curve itself can overshoot the ends by round-off.
@@ -205,6 +189,6 @@ def tradeoff_identity_residual(alpha: float, info: float, dist: float) -> float:
     info = _unit_interval(info, "info")
     dist = _unit_interval(dist, "dist")
     d = helstrom_min_disturbance(alpha) * dist
-    lhs = np.sqrt(max(0.0, d * (1.0 - d)))
-    rhs = (np.sin(4.0 * alpha) / 4.0) * (1.0 - np.sqrt(max(0.0, 1.0 - info * info)))
+    lhs = np.sqrt(d * (1.0 - d))
+    rhs = (np.sin(4.0 * alpha) / 4.0) * info * info / (1.0 + _gamma(info))
     return float(lhs - rhs)

@@ -81,9 +81,7 @@ def test_criterion_04_oracle_equivalence():
             f"max feasibility residual = {worst_res:.2e} (tol 1e-6)")
 
 
-@pytest.mark.filterwarnings("ignore:tilt is degenerate")
 def test_criterion_05_povm_mixture():
-    # the grid touches the degenerate corner (pi/4, 1), which warns by contract
     worst = 0.0
     for alpha in np.linspace(0.0, math.pi / 4, 20):
         for t in np.linspace(0.0, 1.0, 20):

@@ -43,7 +43,6 @@ class TestCurve:
         row = out.strip().split("\n")[1].split(",")
         assert row[5] == row[6] == row[7] == ""
 
-    @pytest.mark.filterwarnings("ignore:tilt is degenerate")
     def test_degenerate_fsq_one_blanks_normalized_columns(self, capsys):
         code, out, err = run_cli(capsys, ["curve", "--fsq", "1", "--points", "3"])
         assert code == 0
@@ -51,6 +50,16 @@ class TestCurve:
         last = out.strip().split("\n")[-1].split(",")
         assert float(last[2]) == pytest.approx(0.5, abs=1e-12)
         assert last[5] == ""
+
+    def test_tiny_alpha(self, capsys):
+        code, _, _ = run_cli(capsys, ["curve", "--alpha", "1e-8", "--points", "3"])
+        assert code == 0
+
+    def test_near_degenerate_alpha_ends_at_full_disturbance(self, capsys):
+        code, out, _ = run_cli(capsys, ["curve", "--alpha", "0.78539815", "--points", "3",
+                                        "--format", "json"])
+        assert code == 0
+        assert abs(json.loads(out)["points"][-1]["dist"] - 1.0) <= 1e-12
 
     def test_json_format(self, capsys):
         code, out, _ = run_cli(capsys, ["curve", "--fsq", "0.25", "--points", "3",
@@ -219,6 +228,12 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+    def test_usage_names_the_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--fsq", "0.5", "--t", "1", "--seed", "-1"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: qtradeoff simulate")
 
     def test_module_entry_point(self):
         proc = subprocess.run(

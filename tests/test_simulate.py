@@ -34,7 +34,7 @@ class TestConfig:
         with pytest.raises(ValueError):
             SimulationConfig(shots=shots, seed=1)
 
-    @pytest.mark.parametrize("seed", [-1, 2**64])
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.7, 1.0, "1"])
     def test_seed_must_fit_in_uint64(self, seed):
         with pytest.raises(ValueError):
             SimulationConfig(shots=10, seed=seed)

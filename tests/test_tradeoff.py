@@ -24,6 +24,8 @@ from qtradeoff import (
 
 PI8 = math.pi / 8
 D_OPT_PI8 = (2 - math.sqrt(3)) / 4  # 0.0669872981077807
+# pi/4, its float predecessor, and a point 1e-12 below it
+NEAR_PI4 = (math.pi / 4, math.nextafter(math.pi / 4, 0.0), math.pi / 4 - 1e-12)
 
 
 class TestHelstromProbability:
@@ -51,9 +53,9 @@ class TestOptimalTilt:
             assert optimal_tilt(alpha) >= alpha - 1e-12
 
     def test_degenerate_limit_warns(self):
-        with pytest.warns(RuntimeWarning):
-            beta = optimal_tilt(math.pi / 4)
-        assert beta == pytest.approx(math.pi / 4, abs=1e-15)
+        # no special case and no warning: arctan2 returns the pi/4 limit itself
+        for alpha in NEAR_PI4:
+            assert optimal_tilt(alpha) == math.pi / 4
 
 
 class TestTiltDisturbance:
@@ -114,9 +116,9 @@ class TestTiltT:
         assert tilt_t(PI8, 0.5) == pytest.approx(expected, abs=1e-14)
 
     def test_degenerate_corner_warns(self):
-        with pytest.warns(RuntimeWarning):
-            beta = tilt_t(math.pi / 4, 1.0)
-        assert beta == pytest.approx(math.pi / 4, abs=1e-15)
+        # no special case and no warning: arctan2 returns the pi/4 limit itself
+        for alpha in NEAR_PI4:
+            assert tilt_t(alpha, 1.0) == math.pi / 4
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -138,7 +140,6 @@ class TestOptimalInstrument:
         np.testing.assert_allclose(inst.outcomes[1][0], np.outer(tilted2, [0, 1]), atol=1e-12)
         assert np.linalg.matrix_rank(inst.outcomes[0][0], tol=1e-10) == 1
 
-    @pytest.mark.filterwarnings("ignore:tilt is degenerate")
     def test_povm_is_mixture_of_projective_and_random(self):
         for alpha in np.linspace(0.0, math.pi / 4, 20):
             for t in np.linspace(0.0, 1.0, 20):
@@ -147,6 +148,13 @@ class TestOptimalInstrument:
                     elements[0], t * np.diag([1, 0]) + (1 - t) / 2 * np.eye(2), atol=1e-12)
                 np.testing.assert_allclose(
                     elements[1], t * np.diag([0, 1]) + (1 - t) / 2 * np.eye(2), atol=1e-12)
+        # near t = 0 the Kraus amplitude sqrt(1 - g) must not cancel
+        for alpha in (0.1, PI8, 0.7):
+            for t in (1e-12, 1e-8, 1e-6, 1e-4):
+                elements = povm(optimal_instrument(alpha, t))
+                for i in range(2):
+                    target = t * np.diag([1 - i, i]) + (1 - t) / 2 * np.eye(2)
+                    assert np.max(np.abs(elements[i] - target)) <= 1e-15, (alpha, t)
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -173,7 +181,6 @@ class TestTradeoffPoint:
         assert pt.beta_t == pytest.approx(0.18110907260582904, abs=1e-14)
         assert pt.gamma == pytest.approx(math.sqrt(3) / 2, abs=1e-15)
 
-    @pytest.mark.filterwarnings("ignore:tilt is degenerate")
     def test_success_probability_is_linear_in_t(self):
         for alpha in np.linspace(0.0, math.pi / 4, 15):
             for t in np.linspace(0.0, 1.0, 15):
@@ -186,12 +193,32 @@ class TestTradeoffPoint:
             values = [tradeoff_point(alpha, min(t, 1.0)).D for t in ts]
             assert np.diff(values).min() >= -1e-12
 
-    @pytest.mark.filterwarnings("ignore:tilt is degenerate")
     def test_disturbance_bounded_by_full_strength(self):
         for alpha in np.linspace(0.0, math.pi / 4, 12):
             d_max = helstrom_min_disturbance(alpha)
             for t in np.linspace(0.0, 1.0, 12):
                 assert -1e-15 <= tradeoff_point(alpha, t).D <= d_max + 1e-12
+
+    @pytest.mark.parametrize("alpha", [1e-8, 1e-5, 1e-3, 0.1, PI8, 0.7,
+                                       math.pi / 4 - 1e-6, math.pi / 4 - 1e-9])
+    def test_relative_accuracy_against_mpmath(self, alpha):
+        # reference: the tilt-based form D = (1 - t sin 2a sin 2b)/2
+        # + (cos 2b / 4)(g (cos 4a - 1) - cos 4a - 1), which cancels as t -> 0;
+        # at 60 digits it loses up to 7e-12 there, so it is evaluated at 160
+        mpmath = pytest.importorskip("mpmath")
+        for t in (0.0, 1e-8, 1e-5, 1e-3, 0.5, 0.99, 1.0 - 1e-12, 1.0):
+            with mpmath.workdps(160):
+                a, tm = mpmath.mpf(alpha), mpmath.mpf(t)
+                g = mpmath.sqrt(1 - tm * tm)
+                s2, c4 = mpmath.sin(2 * a), mpmath.cos(4 * a)
+                b = mpmath.atan2(tm * s2, mpmath.cos(2 * a) ** 2 + g * s2 ** 2) / 2
+                reference = ((1 - tm * s2 * mpmath.sin(2 * b)) / 2
+                             + (mpmath.cos(2 * b) / 4) * (g * (c4 - 1) - c4 - 1))
+                d = tradeoff_point(alpha, t).D
+                if reference == 0:
+                    assert d == 0.0, t
+                else:
+                    assert abs((mpmath.mpf(d) - reference) / reference) <= 1e-13, t
 
     def test_matches_kraus_level_disturbance(self):
         # the instrument algebra reproduces the closed form across the grid
