@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from .qubit import (
     ATOL_ALGEBRAIC,
-    ATOL_DERIVED,
     ID2,
     ID4,
     SIGMA_X,
@@ -68,7 +67,7 @@ from .simulate import (
 
 __all__ = [
     "__version__",
-    "ATOL_ALGEBRAIC", "ATOL_DERIVED", "ID2", "ID4", "SIGMA_X", "SIGMA_XX", "SIGMA_Z",
+    "ATOL_ALGEBRAIC", "ID2", "ID4", "SIGMA_X", "SIGMA_XX", "SIGMA_Z",
     "StatePair", "fidelity", "min_eigenvalue_hermitian", "projector", "symmetric_pair", "tensor",
     "Ensemble", "Instrument", "apply_outcome", "disturbance", "povm", "success_probability",
     "OMEGA", "choi_apply", "choi_functionals", "choi_to_kraus", "kraus_to_choi",

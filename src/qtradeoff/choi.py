@@ -83,9 +83,10 @@ def choi_functionals(r1: np.ndarray, r2: np.ndarray, pair: StatePair) -> tuple[f
     """Success probability and disturbance of an instrument given as Choi operators.
 
     P = (1/2) sum_i Tr[(1 (x) |psi_i><psi_i|*) R_i] and
-    D = 1 - (1/2) sum_i Tr[(|psi_i><psi_i| (x) |psi_i><psi_i|*) (R_1 + R_2)],
-    for the equiprobable pair. Raises if R_1 + R_2 is not trace preserving
-    within 1e-8.
+    D = (1/2) sum_i Tr[(|psi_i^perp><psi_i^perp| (x) |psi_i><psi_i|*) (R_1 + R_2)],
+    for the equiprobable pair: the weight the channel R_1 + R_2 moves off each
+    state, which equals one minus the fidelity because Tr_1[R_1 + R_2] = 1.
+    Raises if R_1 + R_2 is not trace preserving within 1e-8.
     """
     r1 = np.asarray(r1, dtype=complex)
     r2 = np.asarray(r2, dtype=complex)
@@ -93,12 +94,13 @@ def choi_functionals(r1: np.ndarray, r2: np.ndarray, pair: StatePair) -> tuple[f
     if np.max(np.abs(partial_trace_first(total) - ID2)) > TRACE_PRESERVING_ATOL:
         raise ValueError("R1 + R2 is not trace preserving within tolerance")
     p = 0.0
-    fid = 0.0
+    d = 0.0
     for psi, r in zip((pair.psi1, pair.psi2), (r1, r2)):
-        proj = projector(psi)
-        p += 0.5 * float(np.real(np.trace(tensor(ID2, proj.conj()) @ r)))
-        fid += 0.5 * float(np.real(np.trace(tensor(proj, proj.conj()) @ total)))
-    return p, 1.0 - fid
+        proj = projector(psi).conj()
+        perp = projector(np.array([-psi[1].conj(), psi[0].conj()]))
+        p += 0.5 * float(np.real(np.trace(tensor(ID2, proj) @ r)))
+        d += 0.5 * float(np.real(np.trace(tensor(perp, proj) @ total)))
+    return p, d
 
 
 def choi_to_kraus(r: np.ndarray, atol: float = 1e-10) -> list[np.ndarray]:

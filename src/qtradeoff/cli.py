@@ -18,7 +18,8 @@ from .oracle import verify_closed_form
 from .qubit import symmetric_pair
 from .simulate import RNG_ALGORITHM, SimulationConfig, run
 from .tradeoff import (
-    normalized,
+    TradeoffPoint,
+    helstrom_min_disturbance,
     optimal_instrument,
     tradeoff_identity_residual,
     tradeoff_point,
@@ -71,11 +72,12 @@ def _is_degenerate(alpha: float) -> bool:
     return alpha == 0.0 or alpha == math.pi / 4
 
 
-def _normalized_or_none(alpha: float, p: float, d: float):
+def _normalized_or_none(alpha: float, pt: TradeoffPoint):
+    # On the curve info = t exactly; (P - 1/2)/(P_opt - 1/2) cancels as a -> pi/4.
     if _is_degenerate(alpha):
         return None, None, None
-    point = normalized(alpha, p, d)
-    return point.info, point.dist, tradeoff_identity_residual(alpha, point.info, point.dist)
+    dist = pt.D / helstrom_min_disturbance(alpha)
+    return pt.t, dist, tradeoff_identity_residual(alpha, pt.t, dist)
 
 
 def cmd_curve(parser: argparse.ArgumentParser, args) -> int:
@@ -85,18 +87,10 @@ def cmd_curve(parser: argparse.ArgumentParser, args) -> int:
     if _is_degenerate(alpha):
         print("warning: normalization is undefined at alpha in {0, pi/4}; "
               "info/dist/identity_residual columns are left blank", file=sys.stderr)
-    if args.by_probability:
-        if alpha == math.pi / 4:
-            parser.error("--by-probability is unusable at alpha = pi/4 (P is constant)")
-        p_opt = float(np.cos(alpha) ** 2)
-        p_values = np.linspace(0.5, p_opt, args.points)
-        t_values = np.clip((2.0 * p_values - 1.0) / math.cos(2.0 * alpha), 0.0, 1.0)
-    else:
-        t_values = np.linspace(0.0, 1.0, args.points)
     rows = []
-    for t in t_values:
+    for t in np.linspace(0.0, 1.0, args.points):
         pt = tradeoff_point(alpha, float(t))
-        info, dist, resid = _normalized_or_none(alpha, pt.P, pt.D)
+        info, dist, resid = _normalized_or_none(alpha, pt)
         rows.append((pt.alpha, pt.t, pt.P, pt.D, pt.beta_t, info, dist, resid))
     if args.format == "csv":
         lines = [",".join(CURVE_COLUMNS)]
@@ -119,7 +113,7 @@ def cmd_point(parser: argparse.ArgumentParser, args) -> int:
     if not 0.0 <= args.t <= 1.0:
         parser.error(f"--t must lie in [0, 1], got {args.t}")
     pt = tradeoff_point(alpha, args.t)
-    info, dist, resid = _normalized_or_none(alpha, pt.P, pt.D)
+    info, dist, resid = _normalized_or_none(alpha, pt)
     inst = optimal_instrument(alpha, args.t)
     payload = {
         "library": "qtradeoff",
@@ -214,8 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_curve = command("curve", cmd_curve, "emit the optimal tradeoff curve")
     p_curve.add_argument("--points", type=int, default=101, help="number of samples (default 101)")
-    p_curve.add_argument("--by-probability", action="store_true",
-                         help="sample uniformly in P instead of t")
     p_curve.add_argument("--format", choices=("csv", "json"), default="csv")
     p_curve.add_argument("--out", default=None, help="output path (default stdout)")
 

@@ -9,9 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Library-wide tolerances: direct algebraic identities vs derived equalities.
+# Library-wide tolerance for direct algebraic identities.
 ATOL_ALGEBRAIC = 1e-12
-ATOL_DERIVED = 1e-9
 
 ID2 = np.eye(2, dtype=complex)
 ID4 = np.eye(4, dtype=complex)
@@ -19,10 +18,7 @@ SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 SIGMA_XX = np.kron(SIGMA_X, SIGMA_X)
 
-KET_1 = np.array([1, 0], dtype=complex)
-KET_2 = np.array([0, 1], dtype=complex)
-
-for _const in (ID2, ID4, SIGMA_X, SIGMA_Z, SIGMA_XX, KET_1, KET_2):
+for _const in (ID2, ID4, SIGMA_X, SIGMA_Z, SIGMA_XX):
     _const.setflags(write=False)
 
 

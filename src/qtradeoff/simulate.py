@@ -2,10 +2,10 @@
 
 Each shot draws one of the two states uniformly and an outcome from the POVM
 statistics, landing in one of four (state, outcome) cells with exact
-probabilities and per-shot disturbances (one minus the posterior fidelity). A
-run makes one multinomial draw of `shots` over the cells and computes the
-sample means and standard errors exactly from the four counts, in time and
-memory independent of `shots`.
+probabilities p and per-shot disturbances leak / p, the posterior's weight off
+the sent state (see instruments.cell_tables). A run makes one multinomial draw
+of `shots` over the cells and computes the sample means and standard errors
+exactly from the four counts, in time and memory independent of `shots`.
 """
 from __future__ import annotations
 
@@ -13,16 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instruments import Instrument, apply_outcome
-from .qubit import StatePair, projector
+from .instruments import Ensemble, Instrument, cell_tables
+from .qubit import StatePair
 
 # Pinned in output metadata so results can be reproduced across platforms.
 RNG_ALGORITHM = f"numpy.random.Generator(PCG64) numpy=={np.__version__}"
 
 MAX_SHOTS = 2 ** 63 - 1  # the largest count numpy's multinomial accepts
-
-# Per-shot disturbances below double-precision resolution are round-off.
-_ROUNDOFF = 1e-12
 
 
 @dataclass(frozen=True)
@@ -48,29 +45,18 @@ class SimulationResult:
 
 
 def _cell_tables(inst: Instrument, pair: StatePair) -> tuple[np.ndarray, np.ndarray]:
-    """Outcome probabilities p[i, j] and per-shot disturbances d[i, j]."""
-    if inst.n_outcomes != 2:
-        raise ValueError("simulation requires a two-outcome instrument")
-    probs = np.zeros((2, 2))
-    dist = np.zeros((2, 2))
-    for i, psi in enumerate((pair.psi1, pair.psi2)):
-        rho = projector(psi)
-        for j in range(2):
-            out, p = apply_outcome(inst, j, rho)
-            probs[i, j] = p
-            if p > 0.0:
-                fid = float(np.real(psi.conj() @ (out / p) @ psi))
-                d = max(0.0, 1.0 - fid)
-                dist[i, j] = 0.0 if d < _ROUNDOFF else d
+    """Outcome probabilities p[i, j] and per-shot disturbances leak[i, j] / p[i, j]."""
+    probs, leaks = cell_tables(inst, Ensemble.equal_pair(pair))
+    dist = np.divide(leaks, probs, out=np.zeros_like(leaks), where=probs > 0.0)
     return probs, dist
 
 
 def _draw_counts(probs: np.ndarray, cfg: SimulationConfig) -> np.ndarray:
     """Counts over the four (state, outcome) cells from one multinomial draw."""
     rng = np.random.default_rng(int(cfg.seed))
-    # The draw rejects negative round-off, and sums above 1 + 1e-12 that the
-    # 1e-10 completeness tolerance of Instrument allows.
-    cells = 0.5 * np.clip(probs, 0.0, None).ravel()
+    # The draw rejects sums above 1 + 1e-12, which the 1e-10 completeness
+    # tolerance of Instrument allows.
+    cells = 0.5 * probs.ravel()
     return rng.multinomial(int(cfg.shots), cells / cells.sum()).reshape(2, 2)
 
 
@@ -78,9 +64,9 @@ def run(inst: Instrument, pair: StatePair, cfg: SimulationConfig) -> SimulationR
     """Simulate cfg.shots discrimination rounds with equal priors.
 
     Deterministic given cfg.seed. Success means the sampled outcome index
-    matches the sampled state index; the per-shot disturbance is one minus the
-    posterior fidelity for the sampled (state, outcome) cell. Returns sample
-    means with standard errors (sample standard deviation / sqrt(shots)).
+    matches the sampled state index; the per-shot disturbance is leak / p for
+    the sampled (state, outcome) cell. Returns sample means with standard
+    errors (sample standard deviation / sqrt(shots)).
     """
     probs, dist = _cell_tables(inst, pair)
     counts = _draw_counts(probs, cfg).astype(float)

@@ -44,6 +44,18 @@ def random_instrument(rng, kraus_counts=(1, 1)):
     return Instrument(outcomes=tuple(tuple(e @ inv_sqrt for e in ops) for ops in blocks))
 
 
+def curve_disturbance_reference(mpmath, alpha, t):
+    """D_t of the optimal curve at 60 digits, with s = sin(4a) t^2 / (2 (1 + sqrt(1 - t^2))).
+
+    Uses s^2 / (2 (1 + sqrt(1 - s^2))): the form (1 - sqrt(1 - s^2))/2
+    returns 0 even at 80 digits once s ~ 1e-44.
+    """
+    with mpmath.workdps(60):
+        a, tm = mpmath.mpf(alpha), mpmath.mpf(t)
+        s = mpmath.sin(4 * a) * tm ** 2 / (2 * (1 + mpmath.sqrt((1 - tm) * (1 + tm))))
+        return s ** 2 / (2 * (1 + mpmath.sqrt(1 - s ** 2)))
+
+
 def shift_closed_form(monkeypatch, delta):
     """Make verify_closed_form compare the oracle against D_t + delta."""
     exact = oracle_module.tradeoff_point

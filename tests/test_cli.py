@@ -61,6 +61,13 @@ class TestCurve:
         assert code == 0
         assert abs(json.loads(out)["points"][-1]["dist"] - 1.0) <= 1e-12
 
+    def test_near_degenerate_alpha_info_is_t(self, capsys):
+        # (P - 1/2)/(P_opt - 1/2) cancels as alpha -> pi/4; on the curve info = t
+        code, out, _ = run_cli(capsys, ["curve", "--alpha", "0.78539815", "--points", "11"])
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert [r[5] for r in rows] == [r[1] for r in rows]
+
     def test_json_format(self, capsys):
         code, out, _ = run_cli(capsys, ["curve", "--fsq", "0.25", "--points", "3",
                                         "--format", "json"])
@@ -69,17 +76,6 @@ class TestCurve:
         assert payload["library"] == "qtradeoff"
         assert len(payload["points"]) == 3
         assert payload["points"][0]["P"] == 0.5
-
-    def test_by_probability_sampling(self, capsys):
-        code, out, _ = run_cli(capsys, ["curve", "--fsq", "0.5", "--points", "5",
-                                        "--by-probability"])
-        assert code == 0
-        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
-        p_values = [float(r[2]) for r in rows]
-        steps = [b - a for a, b in zip(p_values, p_values[1:])]
-        # CSV carries 10 significant digits, so uniformity holds to ~1e-10
-        assert all(abs(s - steps[0]) < 1e-9 for s in steps)
-        assert p_values[-1] == pytest.approx(0.8535533905932737, abs=1e-9)
 
     def test_degrees_flag(self, capsys):
         # 22.5 degrees and f^2 = 1/2 name the same pair (up to 1 ulp in alpha)
@@ -208,6 +204,14 @@ class TestSimulate:
         assert abs(payload["z_P"]) <= 4
         assert abs(payload["z_D"]) <= 4
         assert payload["rng"].startswith("numpy.random.Generator(PCG64)")
+
+    def test_small_t_disturbance_is_resolved(self, capsys):
+        # D ~ 1.6e-14 here, below the round-off of 1 - fidelity
+        code, out, _ = run_cli(capsys, ["simulate", "--fsq", "0.5", "--t", "0.001",
+                                        "--shots", "1000000", "--seed", "3"])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["z_D"] is not None and abs(payload["z_D"]) <= 4
 
 
 class TestUsageErrors:

@@ -9,7 +9,9 @@ from qtradeoff import (
     ID2,
     Instrument,
     apply_outcome,
+    choi_functionals,
     disturbance,
+    kraus_to_choi,
     min_eigenvalue_hermitian,
     optimal_instrument,
     optimal_tilt,
@@ -18,9 +20,17 @@ from qtradeoff import (
     success_probability,
     symmetric_pair,
 )
+from qtradeoff.instruments import cell_tables
+from qtradeoff.simulate import _cell_tables
 
-from conftest import random_density, random_instrument, random_unitary
+from conftest import (
+    curve_disturbance_reference,
+    random_density,
+    random_instrument,
+    random_unitary,
+)
 
+EPS = float(np.finfo(float).eps)
 HALF = 1.0 / math.sqrt(2)
 COS2_PI8 = math.cos(math.pi / 8) ** 2  # 0.8535533905932737
 
@@ -215,3 +225,49 @@ class TestDisturbance:
         ens = Ensemble(priors=(1.0,), states=([1, 0],))
         with pytest.raises(ValueError):
             disturbance(identity_instrument(), ens)
+
+
+class TestCellTables:
+    def test_scalar_kraus_operators_leak_exactly_nothing(self):
+        # the identity instrument, and the optimal one at t = 0
+        for alpha in (0.0, 0.3, math.pi / 4):
+            ens = Ensemble.equal_pair(symmetric_pair(alpha))
+            for inst in (identity_instrument(), optimal_instrument(alpha, 0.0)):
+                probs, leaks = cell_tables(inst, ens)
+                np.testing.assert_allclose(probs, 0.5, atol=1e-15)
+                assert np.all(leaks == 0.0)
+                assert disturbance(inst, ens) == 0.0
+
+    def test_leaks_sum_to_disturbance(self, rng):
+        ens = Ensemble.equal_pair(symmetric_pair(0.25))
+        inst = random_instrument(rng, kraus_counts=(2, 3))
+        probs, leaks = cell_tables(inst, ens)
+        np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-10)
+        assert np.all(leaks <= probs + 1e-15)
+        assert disturbance(inst, ens) == pytest.approx(0.5 * leaks.sum(), abs=1e-15)
+
+
+class TestDisturbanceAccuracy:
+    """Kraus, simulator and Choi routes against a 60-digit reference of the curve.
+
+    The Kraus amplitudes carry rounding of order eps, so the Kraus and
+    simulator routes are held to 2 eps (sqrt(D) + eps); the Choi route works
+    with R itself and is held to 2 eps absolute.
+    """
+
+    @pytest.mark.parametrize("alpha", [1e-8, 1e-5, 1e-3, 0.1, math.pi / 8, 0.7,
+                                       math.pi / 4 - 1e-6, math.pi / 4 - 1e-9])
+    def test_routes_against_mpmath(self, alpha):
+        mpmath = pytest.importorskip("mpmath")
+        pair = symmetric_pair(alpha)
+        ens = Ensemble.equal_pair(pair)
+        for t in (0.0, 1e-8, 1e-5, 1e-3, 0.5, 0.99, 1.0 - 1e-12, 1.0):
+            inst = optimal_instrument(alpha, t)
+            reference = curve_disturbance_reference(mpmath, alpha, t)
+            bound = 2 * EPS * (float(mpmath.sqrt(reference)) + EPS)
+            probs, dist = _cell_tables(inst, pair)
+            for d in (disturbance(inst, ens), 0.5 * float(np.sum(probs * dist))):
+                assert d >= 0.0, t
+                assert abs(mpmath.mpf(d) - reference) <= bound, t
+            _, d_choi = choi_functionals(*(kraus_to_choi(ops) for ops in inst.outcomes), pair)
+            assert abs(mpmath.mpf(d_choi) - reference) <= 2 * EPS, t

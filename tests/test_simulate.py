@@ -162,13 +162,13 @@ class TestCountSampler:
 
     def test_rounded_negative_cell_probability_is_clipped(self):
         # psi1 is sent to outcome 1 with certainty; its outcome-0 probability
-        # rounds to about -1e-17
+        # is the square of an amplitude that rounds to about 1e-17
         pair = symmetric_pair(0.6)
         phi = np.array([-math.sin(0.6), math.cos(0.6)], dtype=complex)
         inst = Instrument(outcomes=((np.outer(phi, phi.conj()),),
                                     (np.outer(pair.psi1, pair.psi1.conj()),)))
         probs, _ = _cell_tables(inst, pair)
-        assert -1e-16 < probs[0, 0] < 0.0
+        assert 0.0 <= probs[0, 0] <= 1e-30
         cfg = SimulationConfig(shots=10000, seed=4)
         assert outcome_counts(inst, pair, cfg)[0, 0] == 0
         assert 0.0 < run(inst, pair, cfg).empirical_P < 1.0
