@@ -171,6 +171,10 @@ def cmd_simulate(parser: argparse.ArgumentParser, args) -> int:
             return 0.0 if emp == closed else None
         return (emp - closed) / stderr
 
+    # The per-cell disturbances carry the Kraus entries' rounding, up to
+    # 2 eps (sqrt(D) + eps), which outgrows the statistical stderr at small t.
+    eps = sys.float_info.epsilon
+    rounding_D = 2.0 * eps * (math.sqrt(pt.D) + eps)
     payload = {
         "library": "qtradeoff",
         "version": __version__,
@@ -186,7 +190,7 @@ def cmd_simulate(parser: argparse.ArgumentParser, args) -> int:
         "stderr_P": result.stderr_P,
         "stderr_D": result.stderr_D,
         "z_P": zscore(result.empirical_P, pt.P, result.stderr_P),
-        "z_D": zscore(result.empirical_D, pt.D, result.stderr_D),
+        "z_D": zscore(result.empirical_D, pt.D, math.hypot(result.stderr_D, rounding_D)),
     }
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
     return 0

@@ -11,10 +11,12 @@ and every y gives a proven upper bound on the maximum, i.e. a lower bound on the
 disturbance (Vandenberghe & Boyd, SIAM Rev. 38:49, 1996). The solver minimizes
 the entropic smoothing g_mu(y) = mu log Tr exp(M(y)/mu) + t y2 by damped Newton
 in a trust region, continuing mu from 1e-1 down to 1e-9. One eigendecomposition
-of M(y) yields g_mu with its gradient and Hessian, the exact dual value, and the
-Gibbs state exp(M/mu)/Tr, which is positive by construction, has unit trace,
-and whose remaining constraint residuals are minus the gradient. A Gibbs state
-is the primal answer; the least dual value seen is the certificate.
+of M(y) per dual point yields g_mu and the exact dual value in scalar
+arithmetic; the gradient and Hessian are formed only at accepted points, and
+the Gibbs state exp(M/mu)/Tr only at stage ends. The Gibbs state is positive by
+construction, has unit trace, and its remaining constraint residuals are minus
+the gradient. A Gibbs state is the primal answer; the least dual value seen is
+the certificate.
 
 At t = 1 the dual optimum is not attained (y2 diverges): the constraints pin the
 input marginal of R1 to the pure state |1><1|, which forces R1 = S (x) |1><1|
@@ -111,85 +113,127 @@ def _face_solution(sig: np.ndarray) -> tuple[np.ndarray, float]:
     return r1, float(vals[-1])
 
 
-def _smoothed_dual(sig: np.ndarray, y: np.ndarray, t: float, mu: float):
-    """(g_mu, gradient, Hessian, certified dual value, Gibbs state) at y, from one eigh.
+def _spectrum(sig: np.ndarray, y: tuple[float, float]) -> tuple[list[float], np.ndarray]:
+    """Eigenvalues (ascending) and eigenvectors of M(y) = Sigma - y1 (1 (x) sx) - y2 (1 (x) sz)."""
+    lam, v = np.linalg.eigh(sig - np.dot(y, _DUAL_OPS.reshape(2, 16)).reshape(4, 4))
+    return lam.tolist(), v
 
-    The Hessian is the Daleckii-Krein form of the second derivative of
-    mu log Tr exp(M/mu): divided differences (p_i - p_j)/(lam_i - lam_j) on the
-    off-diagonal eigenbasis entries of the constraint operators, plus their
-    diagonal covariance under the Gibbs weights p divided by mu.
+
+def _smoothed(lam: list[float], y: tuple[float, float], t: float, mu: float) -> tuple[float, list[float]]:
+    """g_mu at y and the Gibbs weights p of exp(M/mu)/Tr in M's eigenbasis."""
+    w = [math.exp((x - lam[-1]) / mu) for x in lam]
+    total = sum(w)
+    return lam[-1] + mu * math.log(total) + t * y[1], [x / total for x in w]
+
+
+def _derivatives(lam: list[float], v: np.ndarray, p: list[float], t: float, mu: float):
+    """Gradient (g1, g2) and Hessian (h11, h12, h22) of g_mu, in scalar arithmetic.
+
+    The gradient is (0, t) minus the constraint values Tr[A_k gibbs] = sum_i p_i
+    b_k[i, i], with b_k the constraint operators in M's eigenbasis. The Hessian
+    is the Daleckii-Krein form of the second derivative of mu log Tr exp(M/mu):
+    the covariance of the diagonals under p divided by mu, plus divided
+    differences (p_i - p_j)/(lam_i - lam_j) on the off-diagonal entries.
     """
-    lam, v = np.linalg.eigh(sig - np.tensordot(y, _DUAL_OPS, 1))
-    w = np.exp((lam - lam[-1]) / mu)
-    p = w / w.sum()
-    gibbs = (v * p) @ v.T
-    grad = np.array([0.0, t]) - np.einsum("kij,ji->k", _DUAL_OPS, gibbs)
-    b = v.T @ _DUAL_OPS @ v
-    # (p_i - p_j)/(lam_i - lam_j) = max(p_i, p_j) (1 - exp(-x))/x / mu with
-    # x = |lam_i - lam_j|/mu, which neither cancels nor overflows.
-    x = np.abs(lam[:, None] - lam[None, :]) / mu
-    ratio = np.where(x > 0, -np.expm1(-x) / np.where(x > 0, x, 1.0), 1.0)
-    kernel = np.maximum.outer(p, p) * ratio / mu
-    np.fill_diagonal(kernel, 0.0)
-    diag = np.einsum("kii->ki", b)
-    centered = diag - diag @ p[:, None]
-    hess = np.einsum("kij,lij,ij->kl", b, b, kernel) + (centered * p) @ centered.T / mu
-    g = lam[-1] + mu * math.log(w.sum()) + t * y[1]
-    dual = lam[-1] + t * y[1] + _DUAL_ROUNDING * max(lam[-1], -lam[0])
-    return g, grad, hess, dual, gibbs
+    b1, b2 = (v.T @ _DUAL_OPS @ v).tolist()
+    d1 = [b1[i][i] for i in range(4)]
+    d2 = [b2[i][i] for i in range(4)]
+    m1 = sum(pi * di for pi, di in zip(p, d1))
+    m2 = sum(pi * di for pi, di in zip(p, d2))
+    h11 = sum(pi * (a - m1) * (a - m1) for pi, a in zip(p, d1)) / mu
+    h12 = sum(pi * (a - m1) * (b - m2) for pi, a, b in zip(p, d1, d2)) / mu
+    h22 = sum(pi * (b - m2) * (b - m2) for pi, b in zip(p, d2)) / mu
+    for i in range(3):
+        for j in range(i + 1, 4):
+            # (p_i - p_j)/(lam_i - lam_j) = max(p_i, p_j) (1 - exp(-x))/x / mu with
+            # x = |lam_i - lam_j|/mu, which neither cancels nor overflows; the
+            # pair (j, i) contributes the same again.
+            x = (lam[j] - lam[i]) / mu
+            k = 2.0 * max(p[i], p[j]) * (-math.expm1(-x) / x if x > 0.0 else 1.0) / mu
+            h11 += k * b1[i][j] * b1[i][j]
+            h12 += k * b1[i][j] * b2[i][j]
+            h22 += k * b2[i][j] * b2[i][j]
+    return (-m1, t - m2), (h11, h12, h22)
+
+
+def _newton_step(grad, hess) -> tuple[float, float]:
+    """Solve hess @ step = -grad by Cramer's rule; -grad where hess is singular."""
+    h11, h12, h22 = hess
+    det = h11 * h22 - h12 * h12
+    if det == 0.0 or not math.isfinite(det):
+        return -grad[0], -grad[1]
+    return (h12 * grad[1] - h22 * grad[0]) / det, (h12 * grad[0] - h11 * grad[1]) / det
+
+
+def _certified_dual(lam: list[float], y: tuple[float, float], t: float):
+    """(dual value raised by its rounding allowance, y, lambda_max) at y."""
+    return lam[-1] + t * y[1] + _DUAL_ROUNDING * max(lam[-1], -lam[0]), y, lam[-1]
 
 
 def _line_search(sig, y, t, mu, g, grad, step):
-    """Backtrack along step, capped to the trust region: the accepted (y, evaluation) or None."""
-    length = np.linalg.norm(step)
+    """Backtrack along step, capped to the trust region.
+
+    Returns the accepted (y, lam, v, g, p, grad, hess) or None; derivatives are
+    computed only where a trial is accepted or must be compared.
+    """
+    length = math.hypot(*step)
     if not 0.0 < length < math.inf:
         return None
     # Trust region: far from the optimum the Newton step of a nearly linear
     # g_mu overshoots without bound.
-    step = step * min(1.0, 0.5 * (1.0 + np.linalg.norm(y)) / length)
-    decrease = -grad @ step
+    scale = min(1.0, 0.5 * (1.0 + math.hypot(*y)) / length)
+    step = (step[0] * scale, step[1] * scale)
+    decrease = -(grad[0] * step[0] + grad[1] * step[1])
+
+    def trial(s):
+        y_new = (y[0] + s * step[0], y[1] + s * step[1])
+        lam, v = _spectrum(sig, y_new)
+        return (y_new, lam, v, *_smoothed(lam, y_new, t, mu))
+
     # Below this, g_mu cannot resolve the predicted decrease; the gradient
     # still can, so a full step must shrink it instead.
-    if decrease <= 8.0 * _EPS * (1.0 + abs(g) + np.abs(y).sum()):
-        trial = _smoothed_dual(sig, y + step, t, mu)
-        return (y + step, trial) if np.linalg.norm(trial[1]) < np.linalg.norm(grad) else None
+    if decrease <= 8.0 * _EPS * (1.0 + abs(g) + abs(y[0]) + abs(y[1])):
+        y_new, lam, v, g_new, p = trial(1.0)
+        grad_new, hess = _derivatives(lam, v, p, t, mu)
+        shrinks = math.hypot(*grad_new) < math.hypot(*grad)
+        return (y_new, lam, v, g_new, p, grad_new, hess) if shrinks else None
     s = 1.0
     while s > 1e-12:
-        trial = _smoothed_dual(sig, y + s * step, t, mu)
-        if trial[0] <= g - _ARMIJO * s * decrease:
-            return y + s * step, trial
+        y_new, lam, v, g_new, p = trial(s)
+        if g_new <= g - _ARMIJO * s * decrease:
+            return (y_new, lam, v, g_new, p, *_derivatives(lam, v, p, t, mu))
         s *= 0.5
     return None
 
 
-def _dual_newton(sig: np.ndarray, t: float) -> tuple[np.ndarray, float, np.ndarray]:
-    """The best stage-final Gibbs state, the least dual value seen and its dual point.
+def _dual_newton(sig: np.ndarray, t: float):
+    """The best stage-final Gibbs state, the least dual value seen, its dual point and lambda_max there.
 
-    Where the top eigenvalue is degenerate at the optimum (e.g. t = 0), the
-    gradient carries rounding of order eps/mu, so the last stage is not always
-    the best. Each stage-final Gibbs state is scored by the larger of its
-    constraint residual and its distance to the dual bound.
+    Each dual point costs one eigh of M(y); since M(y) does not depend on mu, a
+    new stage starts from the last eigenpairs. Where the top eigenvalue is
+    degenerate at the optimum (e.g. t = 0), the gradient carries rounding of
+    order eps/mu, so the last stage is not always the best. Each stage-final
+    Gibbs state is scored by the larger of its constraint residual and its
+    distance to the dual bound.
     """
-    y = np.zeros(2)
-    best = (math.inf, y)  # the least dual value seen and its dual point
+    y = (0.0, 0.0)
+    lam, v = _spectrum(sig, y)
+    best = _certified_dual(lam, y, t)  # the least dual value seen, its y and lambda_max
     stage_ends = []
     for mu in _SMOOTHING_SCHEDULE:
-        g, grad, hess, dual, gibbs = _smoothed_dual(sig, y, t, mu)
-        best = min(best, (dual, y), key=lambda b: b[0])
+        g, p = _smoothed(lam, y, t, mu)
+        grad, hess = _derivatives(lam, v, p, t, mu)
         for _ in range(_NEWTON_STEPS_PER_STAGE):
-            try:
-                newton = np.linalg.solve(hess, -grad)
-            except np.linalg.LinAlgError:
-                newton = -grad
             # Steepest descent where g_mu is flat along some direction and the
             # Newton step is meaningless.
-            accepted = _line_search(sig, y, t, mu, g, grad, newton) or \
-                _line_search(sig, y, t, mu, g, grad, -grad)
+            accepted = _line_search(sig, y, t, mu, g, grad, _newton_step(grad, hess)) or \
+                _line_search(sig, y, t, mu, g, grad, (-grad[0], -grad[1]))
             if accepted is None:
                 break
-            y, (g, grad, hess, dual, gibbs) = accepted
-            best = min(best, (dual, y), key=lambda b: b[0])
-        stage_ends.append((gibbs, np.abs(grad).max(), float(np.sum(sig * gibbs))))
+            y, lam, v, g, p, grad, hess = accepted
+            best = min(best, _certified_dual(lam, y, t), key=lambda b: b[0])
+        gibbs = (v * p) @ v.T
+        stage_ends.append((gibbs, max(abs(grad[0]), abs(grad[1])), float(np.sum(sig * gibbs))))
     gibbs = min(stage_ends, key=lambda e: max(e[1], abs(best[0] - e[2])))[0]
     return gibbs, *best
 
@@ -215,11 +259,10 @@ def maximize(pair: StatePair, t: float, cfg: OracleConfig | None = None) -> Orac
         weights = np.zeros(3)
     else:
         # Sigma is real for every StatePair, so the dual works in real arithmetic.
-        gibbs, dual, y = _dual_newton(sig.real, t)
+        gibbs, dual, y, lam_max = _dual_newton(sig.real, t)
         r1 = gibbs.astype(complex)
         achieved = 1.0 - float(np.sum(sig.real * gibbs))
         lower = 1.0 - dual
-        lam_max = np.linalg.eigvalsh(sig.real - np.tensordot(y, _DUAL_OPS, 1))[-1]
         weights = np.array([lam_max, *y])
     residuals = constraint_residuals(r1, pair, t)
     # Weak duality at y: Tr[Sigma R1] <= dual + lambda_max r_tr + y1 r_sx + y2 r_sz.

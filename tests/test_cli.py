@@ -213,6 +213,23 @@ class TestSimulate:
         payload = json.loads(out)
         assert payload["z_D"] is not None and abs(payload["z_D"]) <= 4
 
+    # Below t ~ 1e-4 the rounding of the Kraus entries, up to 2 eps (sqrt(D) + eps),
+    # exceeds the statistical stderr of D (1e-36 at t = 1e-8), and z_D counts both.
+    @pytest.mark.parametrize("t", ["1e-8", "1e-6"])
+    def test_tiny_t_z_score_counts_rounding(self, t, capsys):
+        code, out, _ = run_cli(capsys, ["simulate", "--fsq", "0.5", "--t", t,
+                                        "--shots", "1000000", "--seed", "3"])
+        assert code == 0
+        assert abs(json.loads(out)["z_D"]) <= 4
+
+    # Away from small t the rounding term vanishes beside the stderr, and z_D
+    # is the plain ratio, bit for bit.
+    @pytest.mark.parametrize("t", ["0.5", "1"])
+    def test_z_d_is_the_stderr_ratio_away_from_small_t(self, t, capsys):
+        _, out, _ = run_cli(capsys, ["simulate", "--fsq", "0.5", "--t", t, "--seed", "2024"])
+        payload = json.loads(out)
+        assert payload["z_D"] == (payload["empirical_D"] - payload["closed_D"]) / payload["stderr_D"]
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize("argv", [

@@ -169,6 +169,20 @@ class TestMaximize:
         for t in (0.0, 0.5, 0.999, 1.0):
             maximize(symmetric_pair(0.3), t)
 
+    # The solver's kernel keeps nothing between calls: the order of calls in
+    # one process cannot change a result.
+    def test_results_do_not_depend_on_call_order(self):
+        pair = symmetric_pair(0.77)
+        grid = (0.0, 0.5, 0.999, 1.0 - 1e-12, 1.0)
+        forward = {t: maximize(pair, t) for t in grid}
+        backward = {t: maximize(pair, t) for t in reversed(grid)}
+        for t in grid:
+            a, b = forward[t], backward[t]
+            assert a.achieved_D == b.achieved_D, t
+            assert a.lower_bound_D == b.lower_bound_D, t
+            assert a.certified_gap == b.certified_gap, t
+            np.testing.assert_array_equal(a.best_R1, b.best_R1)
+
     @pytest.mark.parametrize("alpha", [0.0, math.pi / 4])
     def test_degenerate_angles_rejected(self, alpha):
         with pytest.raises(ValueError):
@@ -177,6 +191,37 @@ class TestMaximize:
     def test_t_domain_checked(self):
         with pytest.raises(ValueError):
             maximize(symmetric_pair(PI8), 1.5)
+
+
+class TestSmoothedDualDerivatives:
+    """The hand-written gradient and Hessian of g_mu against central differences."""
+
+    @staticmethod
+    def evaluate(sig, y, t, mu):
+        lam, v = oracle_module._spectrum(sig, y)
+        g, p = oracle_module._smoothed(lam, y, t, mu)
+        grad, hess = oracle_module._derivatives(lam, v, p, t, mu)
+        return g, np.array(grad), np.array([[hess[0], hess[1]], [hess[1], hess[2]]])
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.39, 0.77])
+    @pytest.mark.parametrize("t", [0.3, 0.9])
+    @pytest.mark.parametrize("mu", [1e-1, 1e-2, 1e-3])
+    def test_match_central_differences(self, alpha, t, mu):
+        sig = sigma_objective(symmetric_pair(alpha)).real
+        h = 1e-3 * mu
+        rng = np.random.default_rng(17)
+        for y in rng.normal(scale=0.5, size=(3, 2)):
+            _, grad, hess = self.evaluate(sig, tuple(y), t, mu)
+            fd_grad = np.empty(2)
+            fd_hess = np.empty((2, 2))
+            for k, e in enumerate(np.eye(2) * h):
+                g_plus, grad_plus, _ = self.evaluate(sig, tuple(y + e), t, mu)
+                g_minus, grad_minus, _ = self.evaluate(sig, tuple(y - e), t, mu)
+                fd_grad[k] = (g_plus - g_minus) / (2 * h)
+                fd_hess[:, k] = (grad_plus - grad_minus) / (2 * h)
+            where = f"y={y}"
+            assert np.abs(fd_grad - grad).max() <= 1e-5 * np.abs(grad).max(), where
+            assert np.abs(fd_hess - hess).max() <= 1e-5 * np.abs(hess).max(), where
 
 
 class TestOracleConfig:
