@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .qubit import ID2, SIGMA_X, SIGMA_Z, StatePair, min_eigenvalue_hermitian, projector, tensor
+from .qubit import ID2, SIGMA_X, SIGMA_Z, StatePair, min_eigenvalue_hermitian, projector
 from .tradeoff import tradeoff_point
 
 FEASIBILITY_ATOL = 1e-6
@@ -78,14 +78,12 @@ class OracleResult:
 def sigma_objective(pair: StatePair) -> np.ndarray:
     """Objective operator Sigma = sum_i |psi_i><psi_i| (x) |psi_i><psi_i|*.
 
-    Hermitian, PSD, trace 2; 1 - Tr[Sigma R1] is the disturbance of the
-    symmetrized instrument with first-outcome Choi operator R1.
+    Real symmetric, PSD, trace 2; 1 - Tr[Sigma R1] is the disturbance of the
+    symmetrized instrument with first-outcome Choi operator R1. The projectors
+    of a StatePair are real (a global phase cancels), so each is its own
+    conjugate.
     """
-    sig = np.zeros((4, 4), dtype=complex)
-    for psi in (pair.psi1, pair.psi2):
-        proj = projector(psi)
-        sig += tensor(proj, proj.conj())
-    return sig
+    return sum(np.kron(p, p) for p in (projector(pair.psi1).real, projector(pair.psi2).real))
 
 
 def constraint_residuals(r1: np.ndarray, pair: StatePair, t: float) -> tuple[float, float, float, float]:
@@ -106,11 +104,9 @@ def constraint_residuals(r1: np.ndarray, pair: StatePair, t: float) -> tuple[flo
 
 def _face_solution(sig: np.ndarray) -> tuple[np.ndarray, float]:
     """Exact optimum on the t = 1 face R1 = S (x) |1><1|."""
-    m = sig[0::2, 0::2]
-    vals, vecs = np.linalg.eigh(0.5 * (m + m.conj().T))
-    s = np.outer(vecs[:, -1], vecs[:, -1].conj())
-    r1 = np.kron(s, np.array([[1, 0], [0, 0]], dtype=complex))
-    return r1, float(vals[-1])
+    vals, vecs = np.linalg.eigh(sig[0::2, 0::2])
+    s = np.outer(vecs[:, -1], vecs[:, -1])
+    return np.kron(s, np.diag([1.0, 0.0])), float(vals[-1])
 
 
 def _spectrum(sig: np.ndarray, y: tuple[float, float]) -> tuple[list[float], np.ndarray]:
@@ -258,10 +254,8 @@ def maximize(pair: StatePair, t: float, cfg: OracleConfig | None = None) -> Orac
         achieved = lower = 1.0 - obj
         weights = np.zeros(3)
     else:
-        # Sigma is real for every StatePair, so the dual works in real arithmetic.
-        gibbs, dual, y, lam_max = _dual_newton(sig.real, t)
-        r1 = gibbs.astype(complex)
-        achieved = 1.0 - float(np.sum(sig.real * gibbs))
+        r1, dual, y, lam_max = _dual_newton(sig, t)
+        achieved = 1.0 - float(np.sum(sig * r1))
         lower = 1.0 - dual
         weights = np.array([lam_max, *y])
     residuals = constraint_residuals(r1, pair, t)
@@ -305,14 +299,12 @@ class VerificationReport:
         return payload
 
 
-def verify_closed_form(pair: StatePair, t_grid, cfg: OracleConfig | None = None,
-                       tol: float = 1e-4) -> VerificationReport:
+def verify_closed_form(pair: StatePair, t_grid, tol: float = 1e-4) -> VerificationReport:
     """Run the oracle over a t grid and compare with the closed-form curve.
 
     A point passes when |D_oracle - D_t| <= tol. The report also certifies that
     the oracle never lands below the closed form by more than the solver
     witness tolerance (the closed form is a true lower bound on disturbance).
-    cfg is accepted and ignored.
     """
     t_grid = [float(t) for t in t_grid]
     if not t_grid:

@@ -11,7 +11,6 @@ import pytest
 
 from qtradeoff import (
     Ensemble,
-    OracleConfig,
     SimulationConfig,
     disturbance,
     helstrom_min_disturbance,
@@ -68,11 +67,10 @@ def test_criterion_03_tradeoff_identity_on_grid():
 
 
 def test_criterion_04_oracle_equivalence():
-    cfg = OracleConfig()
     worst_gap = 0.0
     worst_res = 0.0
     for alpha in (math.pi / 16, PI8, 3 * math.pi / 16):
-        report = verify_closed_form(symmetric_pair(alpha), [0.0, 0.25, 0.5, 0.75, 1.0], cfg)
+        report = verify_closed_form(symmetric_pair(alpha), [0.0, 0.25, 0.5, 0.75, 1.0])
         worst_gap = max(worst_gap, report.max_gap)
         worst_res = max(worst_res, max(p.max_residual for p in report.points))
     _record("criterion 4 (oracle reproduces the closed-form curve)",

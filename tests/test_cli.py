@@ -68,6 +68,13 @@ class TestCurve:
         rows = [line.split(",") for line in out.strip().split("\n")[1:]]
         assert [r[5] for r in rows] == [r[1] for r in rows]
 
+    def test_json_key_order(self, capsys):
+        _, out, _ = run_cli(capsys, ["curve", "--fsq", "0.5", "--points", "2", "--format", "json"])
+        payload = json.loads(out)
+        assert list(payload) == ["library", "version", "rng", "alpha", "points"]
+        assert list(payload["points"][0]) == ["alpha", "t", "P", "D", "beta_t", "info", "dist",
+                                              "identity_residual"]
+
     def test_json_format(self, capsys):
         code, out, _ = run_cli(capsys, ["curve", "--fsq", "0.25", "--points", "3",
                                         "--format", "json"])
@@ -94,13 +101,20 @@ class TestCurve:
         assert float(out.strip().split("\n")[1].split(",")[0]) == pytest.approx(
             math.pi / 2 - 1.2, abs=1e-9)
 
-    def test_out_file(self, capsys, tmp_path):
-        target = tmp_path / "curve.csv"
-        code, out, _ = run_cli(capsys, ["curve", "--fsq", "0.5", "--points", "3",
-                                        "--out", str(target)])
+    # --out takes exactly the bytes stdout would get, for every command
+    @pytest.mark.parametrize("argv", [
+        ["curve", "--fsq", "0.5", "--points", "3"],
+        ["point", "--fsq", "0.5", "--t", "0.5"],
+        ["verify", "--fsq", "0.5", "--points", "2"],
+        ["simulate", "--fsq", "0.5", "--t", "0.7", "--shots", "1000", "--seed", "5"],
+    ], ids=lambda argv: argv[0])
+    def test_out_file(self, argv, capsys, tmp_path):
+        _, expected, _ = run_cli(capsys, argv)
+        target = tmp_path / "out.txt"
+        code, out, _ = run_cli(capsys, argv + ["--out", str(target)])
         assert code == 0
         assert out == ""
-        assert target.read_text().startswith("alpha,t,P,D")
+        assert expected and target.read_text() == expected
 
 
 class TestPoint:
@@ -112,6 +126,12 @@ class TestPoint:
         e1 = payload["kraus"][0]
         # rank-1 Kraus: second column vanishes
         assert abs(e1[0][1][0]) < 1e-12 and abs(e1[1][1][0]) < 1e-12
+
+    def test_key_order(self, capsys):
+        _, out, _ = run_cli(capsys, ["point", "--fsq", "0.5", "--t", "0.5"])
+        assert list(json.loads(out)) == ["library", "version", "rng", "alpha", "t", "P", "D",
+                                         "beta_t", "gamma", "info", "dist", "identity_residual",
+                                         "kraus", "povm"]
 
     def test_half_strength_povm(self, capsys):
         code, out, _ = run_cli(capsys, ["point", "--fsq", "0.5", "--t", "0.5"])
@@ -188,6 +208,12 @@ class TestSimulate:
         _, out_b, _ = run_cli(capsys, argv)
         assert out_a == out_b
 
+    def test_key_order(self, capsys):
+        _, out, _ = run_cli(capsys, ["simulate", "--fsq", "0.5", "--t", "0.7", "--shots", "1000"])
+        assert list(json.loads(out)) == ["library", "version", "rng", "alpha", "t", "shots", "seed",
+                                         "closed_P", "closed_D", "empirical_P", "empirical_D",
+                                         "stderr_P", "stderr_D", "z_P", "z_D"]
+
     def test_no_measurement_has_zero_disturbance(self, capsys):
         code, out, _ = run_cli(capsys, ["simulate", "--fsq", "0.5", "--t", "0",
                                         "--shots", "5000", "--seed", "1"])
@@ -244,6 +270,8 @@ class TestUsageErrors:
         ["simulate", "--fsq", "0.5", "--t", "1", "--seed", "-1"],
         ["simulate", "--fsq", "0.5", "--t", "1", "--seed", str(2**64)],
         ["simulate", "--fsq", "0.5", "--t", "1", "--shots", str(10**20)],
+        ["curve", "--fsq", "0.5", "--points", str(10**20)],
+        ["verify", "--fsq", "0.5", "--points", str(10**20)],
     ])
     def test_exit_code_two(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -255,6 +283,23 @@ class TestUsageErrors:
             main(["simulate", "--fsq", "0.5", "--t", "1", "--seed", "-1"])
         assert exc.value.code == 2
         assert capsys.readouterr().err.startswith("usage: qtradeoff simulate")
+
+    # The library's own checks (here tradeoff_point's range of t, and numpy's
+    # array size limit) are usage errors of the subcommand, and nothing is written.
+    @pytest.mark.parametrize("argv", [
+        ["point", "--fsq", "0.5", "--t", "1.5"],
+        ["curve", "--fsq", "0.5", "--points", str(10**20)],
+    ], ids=lambda argv: argv[0])
+    def test_library_errors_are_usage_errors(self, argv, capsys, tmp_path):
+        target = tmp_path / "out.txt"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(target)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage: qtradeoff {argv[0]}")
+        assert f"qtradeoff {argv[0]}: error: " in captured.err
+        assert not target.exists()
 
     def test_module_entry_point(self):
         proc = subprocess.run(

@@ -250,10 +250,6 @@ class TestVerifyClosedForm:
         assert report.max_gap <= 1e-4
         assert report.no_superoptimality
 
-    def test_config_is_accepted_and_ignored(self):
-        pair = symmetric_pair(0.3)
-        assert verify_closed_form(pair, [0.5], OracleConfig()) == verify_closed_form(pair, [0.5])
-
     def test_unreachable_tolerance_fails(self, monkeypatch):
         shift_closed_form(monkeypatch, 1e-3)
         report = verify_closed_form(symmetric_pair(PI8), [0.5])
