@@ -121,6 +121,8 @@ def cmd_point(args) -> tuple[str, int]:
 
 def cmd_verify(args) -> tuple[str, int]:
     alpha = _resolve_alpha(args)
+    if args.points < 1:
+        raise ValueError("--points must be >= 1")
     t_grid = [1.0] if args.points == 1 else np.linspace(0.0, 1.0, args.points)
     report = verify_closed_form(symmetric_pair(alpha), t_grid, tol=args.tol)
     return _json(**report.as_dict()), 0 if report.all_passed else 1
@@ -198,9 +200,11 @@ def build_parser() -> argparse.ArgumentParser:
             ("--tol", dict(type=float, default=1e-4,
                            help="pass threshold on |D_oracle - D_closed| (default 1e-4)")))
     command("simulate", cmd_simulate, "Monte Carlo run of the optimal instrument",
-            ("--t", dict(type=float, required=True)),
-            ("--shots", dict(type=int, default=1000000)),
-            ("--seed", dict(type=int, default=0)))
+            ("--t", dict(type=float, required=True, help="control parameter in [0, 1]")),
+            ("--shots", dict(type=int, default=1000000,
+                             help="number of rounds, an integer in [1, 2^63 - 1] (default 1000000)")),
+            ("--seed", dict(type=int, default=0,
+                            help="PCG64 seed, an integer in [0, 2^64) (default 0)")))
     return parser
 
 

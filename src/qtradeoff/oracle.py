@@ -13,16 +13,19 @@ the entropic smoothing g_mu(y) = mu log Tr exp(M(y)/mu) + t y2 by damped Newton
 in a trust region, continuing mu from 1e-1 down to 1e-9. One eigendecomposition
 of M(y) per dual point yields g_mu and the exact dual value in scalar
 arithmetic; the gradient and Hessian are formed only at accepted points, and
-the Gibbs state exp(M/mu)/Tr only at stage ends. The Gibbs state is positive by
-construction, has unit trace, and its remaining constraint residuals are minus
-the gradient. A Gibbs state is the primal answer; the least dual value seen is
-the certificate.
+the Gibbs state exp(M/mu)/Tr only at the end of the last stage. The Gibbs state
+is positive by construction, has unit trace, and its remaining constraint
+residuals are minus the gradient. It is the primal answer; the least dual value
+seen is the certificate.
 
-At t = 1 the dual optimum is not attained (y2 diverges): the constraints pin the
-input marginal of R1 to the pure state |1><1|, which forces R1 = S (x) |1><1|
-and reduces the program to maximizing Tr[S M] over 2x2 density matrices S, i.e.
-to the top eigenvalue of M[i,j] = Sigma[2i, 2j]. That reduction is exact and is
-applied there instead.
+Both ends of the t range are solved exactly instead. At t = 0 (no measurement)
+the identity channel R1 = |Om><Om|/2, |Om> = |11> + |22>, meets every condition
+exactly and attains Tr[Sigma R1] = 1; the single dual point
+y = (<psi1|psi2>, 0), where the top eigenvalue of M(y) is 1 (and twofold),
+proves it optimal. At t = 1 the dual optimum is not attained (y2 diverges): the
+constraints pin the input marginal of R1 to the pure state |1><1|, which forces
+R1 = S (x) |1><1| and reduces the program to maximizing Tr[S M] over 2x2
+density matrices S, i.e. to the top eigenvalue of M[i,j] = Sigma[2i, 2j].
 """
 from __future__ import annotations
 
@@ -31,6 +34,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .choi import OMEGA
 from .qubit import ID2, SIGMA_X, SIGMA_Z, StatePair, min_eigenvalue_hermitian, projector
 from .tradeoff import tradeoff_point
 
@@ -203,19 +207,14 @@ def _line_search(sig, y, t, mu, g, grad, step):
 
 
 def _dual_newton(sig: np.ndarray, t: float):
-    """The best stage-final Gibbs state, the least dual value seen, its dual point and lambda_max there.
+    """The last stage's Gibbs state, the least dual value seen, its dual point and lambda_max there.
 
     Each dual point costs one eigh of M(y); since M(y) does not depend on mu, a
-    new stage starts from the last eigenpairs. Where the top eigenvalue is
-    degenerate at the optimum (e.g. t = 0), the gradient carries rounding of
-    order eps/mu, so the last stage is not always the best. Each stage-final
-    Gibbs state is scored by the larger of its constraint residual and its
-    distance to the dual bound.
+    new stage starts from the last eigenpairs.
     """
     y = (0.0, 0.0)
     lam, v = _spectrum(sig, y)
     best = _certified_dual(lam, y, t)  # the least dual value seen, its y and lambda_max
-    stage_ends = []
     for mu in _SMOOTHING_SCHEDULE:
         g, p = _smoothed(lam, y, t, mu)
         grad, hess = _derivatives(lam, v, p, t, mu)
@@ -228,10 +227,7 @@ def _dual_newton(sig: np.ndarray, t: float):
                 break
             y, lam, v, g, p, grad, hess = accepted
             best = min(best, _certified_dual(lam, y, t), key=lambda b: b[0])
-        gibbs = (v * p) @ v.T
-        stage_ends.append((gibbs, max(abs(grad[0]), abs(grad[1])), float(np.sum(sig * gibbs))))
-    gibbs = min(stage_ends, key=lambda e: max(e[1], abs(best[0] - e[2])))[0]
-    return gibbs, *best
+    return (v * p) @ v.T, *best
 
 
 def maximize(pair: StatePair, t: float, cfg: OracleConfig | None = None) -> OracleResult:
@@ -254,13 +250,19 @@ def maximize(pair: StatePair, t: float, cfg: OracleConfig | None = None) -> Orac
         achieved = lower = 1.0 - obj
         weights = np.zeros(3)
     else:
-        r1, dual, y, lam_max = _dual_newton(sig, t)
+        if t == 0.0:
+            # Exact: Sigma - <psi1|psi2> (1 (x) sx) <= 1, so this y certifies R1.
+            r1 = np.outer(OMEGA, OMEGA).real / 2.0
+            y = (float(np.vdot(pair.psi1, pair.psi2).real), 0.0)
+            dual, y, lam_max = _certified_dual(_spectrum(sig, y)[0], y, t)
+        else:
+            r1, dual, y, lam_max = _dual_newton(sig, t)
         achieved = 1.0 - float(np.sum(sig * r1))
         lower = 1.0 - dual
         weights = np.array([lam_max, *y])
     residuals = constraint_residuals(r1, pair, t)
     # Weak duality at y: Tr[Sigma R1] <= dual + lambda_max r_tr + y1 r_sx + y2 r_sz.
-    # The face solution meets the conditions exactly.
+    # The t = 0 and t = 1 solutions meet the conditions exactly.
     slack = float(np.abs(weights * residuals[1:]).sum())
     return OracleResult(
         best_R1=r1,

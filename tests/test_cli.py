@@ -272,6 +272,8 @@ class TestUsageErrors:
         ["simulate", "--fsq", "0.5", "--t", "1", "--shots", str(10**20)],
         ["curve", "--fsq", "0.5", "--points", str(10**20)],
         ["verify", "--fsq", "0.5", "--points", str(10**20)],
+        ["verify", "--fsq", "0.5", "--points", "0"],
+        ["verify", "--fsq", "0.5", "--points", "-3"],
     ])
     def test_exit_code_two(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -300,6 +302,22 @@ class TestUsageErrors:
         assert captured.err.startswith(f"usage: qtradeoff {argv[0]}")
         assert f"qtradeoff {argv[0]}: error: " in captured.err
         assert not target.exists()
+
+    # np.linspace is the CLI's own call, so only the CLI can name the flag.
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_verify_grid_size_names_the_flag(self, points, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--fsq", "0.5", "--points", points])
+        assert exc.value.code == 2
+        assert "qtradeoff verify: error: --points must be >= 1" in capsys.readouterr().err
+
+    def test_simulate_help_states_the_caps(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "[1, 2^63 - 1]" in text
+        assert "[0, 2^64)" in text
 
     def test_module_entry_point(self):
         proc = subprocess.run(

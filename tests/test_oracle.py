@@ -23,6 +23,8 @@ from qtradeoff.choi import OMEGA
 from conftest import shift_closed_form
 
 PI8 = math.pi / 8
+EPS = np.finfo(float).eps
+CERTIFICATE_ALPHAS = [0.005, 0.02, math.pi / 16, PI8, 0.39, 3 * math.pi / 16, 0.77, 0.785, 0.7853]
 
 
 def closed_form_choi(alpha, t):
@@ -97,12 +99,25 @@ class TestMaximize:
         assert result.achieved_D == pytest.approx(0.0011230858487688566, abs=1e-4)
 
     def test_no_measurement_is_undisturbing(self):
-        # the top eigenvalue is degenerate at this dual optimum, where the
-        # last smoothing stage is not the most accurate one
-        for alpha in (0.2, PI8, 0.59, 0.7):
+        # t = 0 is solved exactly: the identity channel and one dual point
+        for alpha in CERTIFICATE_ALPHAS:
             result = maximize(symmetric_pair(alpha), 0.0)
-            assert abs(result.achieved_D) <= 1e-8
-            assert max(abs(r) for r in result.constraint_residuals) <= 1e-8
+            assert result.constraint_residuals == (0.0, 0.0, 0.0, 0.0), alpha
+            assert abs(result.achieved_D) <= 4 * EPS, alpha
+            assert result.lower_bound_D <= 0.0, alpha
+            assert 0.0 <= result.certified_gap <= 1e-14, alpha
+
+    def test_no_measurement_skips_the_interior_solver(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("t = 0 entered the interior solver")
+
+        eigh = np.linalg.eigh
+        calls = []
+        monkeypatch.setattr(oracle_module, "_dual_newton", forbidden)
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m) or eigh(m))
+        result = maximize(symmetric_pair(PI8), 0.0)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(result.best_R1, np.outer(OMEGA, OMEGA).real / 2)
 
     def test_best_point_is_feasible(self):
         result = maximize(symmetric_pair(0.3), 0.7)
@@ -126,8 +141,7 @@ class TestMaximize:
         assert result.lower_bound_D == result.achieved_D
         assert result.achieved_D == pytest.approx(tradeoff_point(0.3, 1.0).D, abs=1e-12)
 
-    @pytest.mark.parametrize("alpha", [0.005, 0.02, math.pi / 16, PI8, 0.39,
-                                       3 * math.pi / 16, 0.77, 0.785, 0.7853])
+    @pytest.mark.parametrize("alpha", CERTIFICATE_ALPHAS)
     def test_certificate_brackets_closed_form(self, alpha):
         for t in (0.0, 0.25, 0.5, 0.75, 0.99, 0.99049, 0.999, 0.9999, 1.0):
             assert_certified(alpha, t)
