@@ -13,16 +13,15 @@ the entropic smoothing g_mu(y) = mu log Tr exp(M(y)/mu) + t y2 by damped Newton
 in a trust region, continuing mu from 1e-1 down to 1e-9. One eigendecomposition
 of M(y) per dual point yields g_mu and the exact dual value in scalar
 arithmetic; the gradient and Hessian are formed only at accepted points, and
-the Gibbs state exp(M/mu)/Tr only at the end of the last stage. The Gibbs state
-is positive by construction, has unit trace, and its remaining constraint
-residuals are minus the gradient. It is the primal answer; the least dual value
-seen is the certificate.
+the Gibbs state exp(M/mu)/Tr only at stage ends. The Gibbs state is positive by
+construction, has unit trace, and its remaining constraint residuals are minus
+the gradient. A Gibbs state is the primal answer; the least dual value seen is
+the certificate.
 
-Both ends of the t range are solved exactly instead. At t = 0 (no measurement)
-the identity channel R1 = |Om><Om|/2, |Om> = |11> + |22>, meets every condition
-exactly and attains Tr[Sigma R1] = 1; the single dual point
-y = (<psi1|psi2>, 0), where the top eigenvalue of M(y) is 1 (and twofold),
-proves it optimal. At t = 1 the dual optimum is not attained (y2 diverges): the
+Both ends of the t range are solved exactly instead. At t = 0 the identity
+channel R1 = |Om><Om|/2, |Om> = |11> + |22>, is feasible with Tr[Sigma R1] = 1,
+and the dual point y = (<psi1|psi2>, 0), where lambda_max(M(y)) = 1, proves it
+optimal. At t = 1 the dual optimum is not attained (y2 diverges): the
 constraints pin the input marginal of R1 to the pure state |1><1|, which forces
 R1 = S (x) |1><1| and reduces the program to maximizing Tr[S M] over 2x2
 density matrices S, i.e. to the top eigenvalue of M[i,j] = Sigma[2i, 2j].
@@ -207,14 +206,19 @@ def _line_search(sig, y, t, mu, g, grad, step):
 
 
 def _dual_newton(sig: np.ndarray, t: float):
-    """The last stage's Gibbs state, the least dual value seen, its dual point and lambda_max there.
+    """The best stage-final Gibbs state, the least dual value seen, its dual point and lambda_max there.
 
     Each dual point costs one eigh of M(y); since M(y) does not depend on mu, a
-    new stage starts from the last eigenpairs.
+    new stage starts from the last eigenpairs. Where the top-eigenvalue gap at
+    the optimum is of order mu or less (at small t, where it grows as t^2, and
+    near alpha = pi/4), the gradient carries rounding of order eps/mu and the
+    last stage is not always the best: each stage-final Gibbs state is scored by
+    the larger of its constraint residual and its distance to the dual bound.
     """
     y = (0.0, 0.0)
     lam, v = _spectrum(sig, y)
     best = _certified_dual(lam, y, t)  # the least dual value seen, its y and lambda_max
+    stage_ends = []
     for mu in _SMOOTHING_SCHEDULE:
         g, p = _smoothed(lam, y, t, mu)
         grad, hess = _derivatives(lam, v, p, t, mu)
@@ -227,7 +231,10 @@ def _dual_newton(sig: np.ndarray, t: float):
                 break
             y, lam, v, g, p, grad, hess = accepted
             best = min(best, _certified_dual(lam, y, t), key=lambda b: b[0])
-    return (v * p) @ v.T, *best
+        gibbs = (v * p) @ v.T
+        stage_ends.append((gibbs, max(abs(grad[0]), abs(grad[1])), float(np.sum(sig * gibbs))))
+    gibbs = min(stage_ends, key=lambda e: max(e[1], abs(best[0] - e[2])))[0]
+    return gibbs, *best
 
 
 def maximize(pair: StatePair, t: float, cfg: OracleConfig | None = None) -> OracleResult:

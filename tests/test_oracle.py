@@ -25,6 +25,7 @@ from conftest import shift_closed_form
 PI8 = math.pi / 8
 EPS = np.finfo(float).eps
 CERTIFICATE_ALPHAS = [0.005, 0.02, math.pi / 16, PI8, 0.39, 3 * math.pi / 16, 0.77, 0.785, 0.7853]
+SMALL_T = (1e-6, 1e-4, 1e-3, 1e-2)
 
 
 def closed_form_choi(alpha, t):
@@ -143,8 +144,18 @@ class TestMaximize:
 
     @pytest.mark.parametrize("alpha", CERTIFICATE_ALPHAS)
     def test_certificate_brackets_closed_form(self, alpha):
-        for t in (0.0, 0.25, 0.5, 0.75, 0.99, 0.99049, 0.999, 0.9999, 1.0):
+        for t in (0.0, *SMALL_T, 0.25, 0.5, 0.75, 0.99, 0.99049, 0.999, 0.9999, 1.0):
             assert_certified(alpha, t)
+
+    # Near t = 0 the top-eigenvalue gap at the optimum shrinks as t^2, below the
+    # last smoothing mu, so the last stage's Gibbs state is not always the best
+    # one; returning it unscored breaks these bounds at each of these t.
+    @pytest.mark.parametrize("t", SMALL_T)
+    def test_small_t_keeps_the_best_stage(self, t):
+        for alpha in CERTIFICATE_ALPHAS:
+            result = maximize(symmetric_pair(alpha), t)
+            assert max(abs(r) for r in result.constraint_residuals) <= 2.5e-8, alpha
+            assert result.certified_gap <= 5e-8, alpha
 
     # Nearly identical states close to t = 1 leave g_mu flat along one
     # direction, where only the steepest-descent fallback makes progress.
