@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .qubit import ID2, SIGMA_XX, StatePair, is_hermitian, projector, tensor
+from .qubit import ID2, SIGMA_XX, StatePair, is_hermitian, tensor
 
 OMEGA = np.array([1, 0, 0, 1], dtype=complex)
 OMEGA.setflags(write=False)
@@ -86,6 +86,9 @@ def choi_functionals(r1: np.ndarray, r2: np.ndarray, pair: StatePair) -> tuple[f
     D = (1/2) sum_i Tr[(|psi_i^perp><psi_i^perp| (x) |psi_i><psi_i|*) (R_1 + R_2)],
     for the equiprobable pair: the weight the channel R_1 + R_2 moves off each
     state, which equals one minus the fidelity because Tr_1[R_1 + R_2] = 1.
+    Both traces are evaluated as quadratic forms, with c = psi_i* and
+    q = psi_i^perp: Tr[(1 (x) |c><c|) R] = <c| Tr_1 R |c> and
+    Tr[(|q><q| (x) |c><c|) R] = <q (x) c| R |q (x) c>.
     Raises if R_1 + R_2 is not trace preserving within 1e-8.
     """
     r1 = np.asarray(r1, dtype=complex)
@@ -96,10 +99,10 @@ def choi_functionals(r1: np.ndarray, r2: np.ndarray, pair: StatePair) -> tuple[f
     p = 0.0
     d = 0.0
     for psi, r in zip((pair.psi1, pair.psi2), (r1, r2)):
-        proj = projector(psi).conj()
-        perp = projector(np.array([-psi[1].conj(), psi[0].conj()]))
-        p += 0.5 * float(np.real(np.trace(tensor(ID2, proj) @ r)))
-        d += 0.5 * float(np.real(np.trace(tensor(perp, proj) @ total)))
+        c = psi.conj()
+        qc = np.outer([-c[1], c[0]], c).reshape(4)
+        p += 0.5 * float(np.vdot(c, partial_trace_first(r) @ c).real)
+        d += 0.5 * float(np.vdot(qc, total @ qc).real)
     return p, d
 
 

@@ -45,11 +45,13 @@ def _json(**fields) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _add_input_arguments(p: argparse.ArgumentParser) -> None:
+def _add_input_arguments(p: argparse.ArgumentParser) -> list[argparse.Action]:
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--alpha", type=float, help="half-angle of the state pair, radians")
-    group.add_argument("--fsq", type=float, help="squared fidelity |<psi1|psi2>|^2 in [0, 1]")
-    p.add_argument("--degrees", action="store_true", help="interpret --alpha in degrees")
+    return [
+        group.add_argument("--alpha", type=float, help="half-angle of the state pair, radians"),
+        group.add_argument("--fsq", type=float, help="squared fidelity |<psi1|psi2>|^2 in [0, 1]"),
+        p.add_argument("--degrees", action="store_true", help="interpret --alpha in degrees"),
+    ]
 
 
 def _resolve_alpha(args) -> float:
@@ -169,10 +171,11 @@ def build_parser() -> argparse.ArgumentParser:
     def command(name, func, summary, *arguments):
         # The runner: the library validates the domain, and its ValueError is
         # reported as a usage error of this subcommand (exit 2, its own usage).
+        # A message whose first word is the dest of an option given here, such
+        # as "t must lie in [0, 1]", names its flag as argparse does.
         p = sub.add_parser(name, help=summary)
-        _add_input_arguments(p)
-        for flag, options in arguments:
-            p.add_argument(flag, **options)
+        declared = _add_input_arguments(p) + [p.add_argument(flag, **options) for flag, options in arguments]
+        flags = {action.dest: action.option_strings[0] for action in declared}
         # Declared last, so --out ends every usage line.
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
@@ -180,7 +183,11 @@ def build_parser() -> argparse.ArgumentParser:
             try:
                 text, code = func(args)
             except ValueError as exc:
-                p.error(str(exc))
+                message = str(exc)
+                dest = message.partition(" ")[0]
+                if dest in flags and getattr(args, dest) is not None:
+                    message = f"argument {flags[dest]}: {message}"
+                p.error(message)
             if args.out is None:
                 sys.stdout.write(text)
             else:

@@ -34,14 +34,14 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .choi import OMEGA
-from .qubit import ID2, SIGMA_X, SIGMA_Z, StatePair, min_eigenvalue_hermitian, projector
+from .qubit import ID2, SIGMA_X, SIGMA_Z, StatePair, min_eigenvalue_hermitian, projector, tensor
 from .tradeoff import tradeoff_point
 
 FEASIBILITY_ATOL = 1e-6
 SUPEROPTIMALITY_TOL = 1e-5
 
 # Constraint operators 1 (x) sx and 1 (x) sz; their multipliers are the dual variables.
-_DUAL_OPS = np.stack([np.kron(ID2.real, SIGMA_X.real), np.kron(ID2.real, SIGMA_Z.real)])
+_DUAL_OPS = np.stack([tensor(ID2, SIGMA_X).real, tensor(ID2, SIGMA_Z).real])
 _SMOOTHING_SCHEDULE = tuple(10.0 ** -k for k in range(1, 10))
 _NEWTON_STEPS_PER_STAGE = 60
 _ARMIJO = 1e-4
@@ -84,9 +84,10 @@ def sigma_objective(pair: StatePair) -> np.ndarray:
     Real symmetric, PSD, trace 2; 1 - Tr[Sigma R1] is the disturbance of the
     symmetrized instrument with first-outcome Choi operator R1. The projectors
     of a StatePair are real (a global phase cancels), so each is its own
-    conjugate.
+    conjugate; the real part of their complex tensor product is the real
+    product bit for bit.
     """
-    return sum(np.kron(p, p) for p in (projector(pair.psi1).real, projector(pair.psi2).real))
+    return sum(tensor(p, p).real for p in (projector(pair.psi1).real, projector(pair.psi2).real))
 
 
 def constraint_residuals(r1: np.ndarray, pair: StatePair, t: float) -> tuple[float, float, float, float]:
@@ -109,7 +110,7 @@ def _face_solution(sig: np.ndarray) -> tuple[np.ndarray, float]:
     """Exact optimum on the t = 1 face R1 = S (x) |1><1|."""
     vals, vecs = np.linalg.eigh(sig[0::2, 0::2])
     s = np.outer(vecs[:, -1], vecs[:, -1])
-    return np.kron(s, np.diag([1.0, 0.0])), float(vals[-1])
+    return tensor(s, np.diag([1.0, 0.0])).real, float(vals[-1])
 
 
 def _spectrum(sig: np.ndarray, y: tuple[float, float]) -> tuple[list[float], np.ndarray]:

@@ -173,6 +173,24 @@ class TestChoiFunctionals:
             assert p == pytest.approx(success_probability(inst, ens), abs=1e-10)
             assert d == pytest.approx(disturbance(inst, ens), abs=1e-10)
 
+    # The quadratic forms <c| Tr_1 R |c> and <q (x) c| R |q (x) c> against the
+    # trace forms Tr[(1 (x) |c><c|) R] and Tr[(|q><q| (x) |c><c|) R] they equal.
+    def test_matches_trace_form(self, rng):
+        eps = np.finfo(float).eps
+        for k in range(50):
+            inst = random_instrument(rng, kraus_counts=(1 + k % 2, 1 + k // 2 % 2))
+            r1, r2 = instrument_chois(inst)
+            pair = symmetric_pair(rng.uniform(0.0, math.pi / 4))
+            p_ref = d_ref = 0.0
+            for psi, r in zip((pair.psi1, pair.psi2), (r1, r2)):
+                proj = projector(psi).conj()
+                perp = projector(np.array([-psi[1].conj(), psi[0].conj()]))
+                p_ref += 0.5 * np.trace(np.kron(ID2, proj) @ r).real
+                d_ref += 0.5 * np.trace(np.kron(perp, proj) @ (r1 + r2)).real
+            p, d = choi_functionals(r1, r2, pair)
+            assert abs(p - p_ref) <= 4 * eps
+            assert abs(d - d_ref) <= 4 * eps
+
     def test_trace_preservation_enforced(self):
         pair = symmetric_pair(0.3)
         with pytest.raises(ValueError):

@@ -311,6 +311,30 @@ class TestUsageErrors:
         assert exc.value.code == 2
         assert "qtradeoff verify: error: --points must be >= 1" in capsys.readouterr().err
 
+    # A library message that begins with an option's dest names the flag, in
+    # argparse's own "argument --flag:" form.
+    @pytest.mark.parametrize("argv, flag", [
+        (["point", "--fsq", "0.5", "--t", "1.5"], "--t"),
+        (["simulate", "--fsq", "0.5", "--t", "2"], "--t"),
+        (["verify", "--fsq", "0.5", "--tol", "0"], "--tol"),
+        (["simulate", "--fsq", "0.5", "--t", "0.5", "--shots", "0"], "--shots"),
+        (["simulate", "--fsq", "0.5", "--t", "0.5", "--seed", "-1"], "--seed"),
+    ], ids=["point-t", "simulate-t", "verify-tol", "simulate-shots", "simulate-seed"])
+    def test_library_errors_name_the_flag(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"qtradeoff {argv[0]}: error: argument {flag}: {flag[2:]} " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("inputs", [["--alpha", "0"], ["--fsq", "0"]], ids=["alpha", "fsq"])
+    def test_other_library_errors_keep_their_message(self, inputs, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", *inputs, "--points", "3"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "qtradeoff verify: error: oracle requires alpha strictly inside (0, pi/4)" in err
+        assert "argument --" not in err
+
     def test_simulate_help_states_the_caps(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--help"])

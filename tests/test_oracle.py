@@ -48,6 +48,15 @@ class TestSigmaObjective:
         sig = sigma_objective(symmetric_pair(PI8))
         assert np.linalg.eigvalsh(sig)[-1] == pytest.approx(1.5, abs=1e-12)
 
+    # Sigma is the oracle's only input: the same bits give the same results.
+    @pytest.mark.parametrize("alpha", CERTIFICATE_ALPHAS)
+    def test_bit_identical_to_kron_sum(self, alpha):
+        pair = symmetric_pair(alpha)
+        projectors = [np.outer(psi, psi.conj()).real for psi in (pair.psi1, pair.psi2)]
+        sig = sigma_objective(pair)
+        assert sig.dtype == np.float64
+        assert np.array_equal(sig, np.kron(projectors[0], projectors[0]) + np.kron(projectors[1], projectors[1]))
+
 
 class TestConstraintResiduals:
     @pytest.mark.parametrize("alpha", [math.pi / 16, PI8])

@@ -1,10 +1,18 @@
-"""Property test: the Kraus-level disturbance over the whole (alpha, t) domain."""
+"""Property tests: the Kraus- and Choi-level functionals over the whole (alpha, t) domain."""
 import math
 
 import numpy as np
 import pytest
 
-from qtradeoff import Ensemble, disturbance, optimal_instrument, symmetric_pair
+from qtradeoff import (
+    Ensemble,
+    choi_functionals,
+    disturbance,
+    kraus_to_choi,
+    optimal_instrument,
+    symmetric_pair,
+    tradeoff_point,
+)
 
 from conftest import curve_disturbance_reference
 
@@ -22,3 +30,15 @@ def test_kraus_disturbance_tracks_the_curve(alpha, t):
     reference = curve_disturbance_reference(mpmath, alpha, t)
     assert d >= 0.0
     assert abs(mpmath.mpf(d) - reference) <= 2 * EPS * (float(mpmath.sqrt(reference)) + EPS)
+
+
+# README: the Choi route's D agrees with D_t within 2 eps; its P carries the
+# rounding of the Kraus entries and of the quadratic forms.
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(alpha=st.floats(0.0, math.pi / 4), t=st.floats(0.0, 1.0))
+def test_choi_functionals_track_the_curve(alpha, t):
+    r1, r2 = (kraus_to_choi(ops) for ops in optimal_instrument(alpha, t).outcomes)
+    p, d = choi_functionals(r1, r2, symmetric_pair(alpha))
+    reference = curve_disturbance_reference(mpmath, alpha, t)
+    assert abs(mpmath.mpf(d) - reference) <= 2 * EPS
+    assert abs(p - tradeoff_point(alpha, t).P) <= 4 * EPS

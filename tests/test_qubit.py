@@ -118,6 +118,22 @@ class TestTensor:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             tensor(ID2, ID4)
+        for shape_a, shape_b in [((2,), (2, 2)), ((2, 2), (4,)), ((3, 3), (2, 2)), ((2, 2, 1), (2, 2))]:
+            with pytest.raises(ValueError, match="2x2"):
+                tensor(np.ones(shape_a), np.ones(shape_b))
+
+    # The broadcast product must reproduce numpy's kron bit for bit: the oracle's
+    # Sigma and constraint operators are built from it.
+    def test_bit_identical_to_kron_complex(self, rng):
+        for _ in range(1000):
+            a, b = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(2))
+            assert np.array_equal(tensor(a, b), np.kron(a, b))
+
+    def test_bit_identical_to_kron_real(self, rng):
+        for _ in range(1000):
+            a, b = rng.standard_normal((2, 2)), rng.standard_normal((2, 2))
+            assert np.array_equal(tensor(a, b).real, np.kron(a, b))
+            assert not tensor(a, b).imag.any()
 
 
 class TestMinEigenvalue:
