@@ -3,15 +3,11 @@
 __version__ = "0.1.0"
 
 from .qubit import (
-    ATOL_ALGEBRAIC,
     ID2,
-    ID4,
     SIGMA_X,
     SIGMA_XX,
     SIGMA_Z,
     StatePair,
-    fidelity,
-    min_eigenvalue_hermitian,
     projector,
     symmetric_pair,
     tensor,
@@ -19,7 +15,6 @@ from .qubit import (
 from .instruments import (
     Ensemble,
     Instrument,
-    apply_outcome,
     disturbance,
     povm,
     success_probability,
@@ -35,9 +30,7 @@ from .choi import (
     symmetrize,
 )
 from .tradeoff import (
-    NormalizedPoint,
     TradeoffPoint,
-    feedback_unitary,
     helstrom_min_disturbance,
     helstrom_probability,
     no_feedback_instrument,
@@ -67,14 +60,13 @@ from .simulate import (
 
 __all__ = [
     "__version__",
-    "ATOL_ALGEBRAIC", "ID2", "ID4", "SIGMA_X", "SIGMA_XX", "SIGMA_Z",
-    "StatePair", "fidelity", "min_eigenvalue_hermitian", "projector", "symmetric_pair", "tensor",
-    "Ensemble", "Instrument", "apply_outcome", "disturbance", "povm", "success_probability",
+    "ID2", "SIGMA_X", "SIGMA_XX", "SIGMA_Z", "StatePair", "projector", "symmetric_pair", "tensor",
+    "Ensemble", "Instrument", "disturbance", "povm", "success_probability",
     "OMEGA", "choi_apply", "choi_functionals", "choi_to_kraus", "kraus_to_choi",
     "partial_trace_first", "partial_trace_second", "symmetrize",
-    "NormalizedPoint", "TradeoffPoint", "feedback_unitary", "helstrom_min_disturbance",
-    "helstrom_probability", "no_feedback_instrument", "normalized", "optimal_instrument",
-    "optimal_tilt", "tilt_disturbance", "tilt_t", "tradeoff_identity_residual", "tradeoff_point",
+    "TradeoffPoint", "helstrom_min_disturbance", "helstrom_probability", "no_feedback_instrument",
+    "normalized", "optimal_instrument", "optimal_tilt", "tilt_disturbance", "tilt_t",
+    "tradeoff_identity_residual", "tradeoff_point",
     "OracleConfig", "OracleResult", "VerificationReport", "constraint_residuals", "maximize",
     "sigma_objective", "verify_closed_form",
     "RNG_ALGORITHM", "SimulationConfig", "SimulationResult", "run",

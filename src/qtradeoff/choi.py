@@ -17,6 +17,8 @@ OMEGA = np.array([1, 0, 0, 1], dtype=complex)
 OMEGA.setflags(write=False)
 
 TRACE_PRESERVING_ATOL = 1e-8
+# Eigenvalues of a Choi operator in [-PSD_ATOL, 0) are rounding drift, clamped to zero.
+PSD_ATOL = 1e-10
 
 
 def kraus_to_choi(kraus_ops) -> np.ndarray:
@@ -43,7 +45,7 @@ def choi_apply(r: np.ndarray, rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if r.shape != (4, 4) or rho.shape != (2, 2):
         raise ValueError("choi_apply expects a 4x4 Choi operator and a 2x2 matrix")
-    if not is_hermitian(rho, atol=1e-10):
+    if not is_hermitian(rho):
         raise ValueError("rho must be Hermitian")
     m = tensor(ID2, rho.conj()) @ r
     return partial_trace_second(m)
@@ -94,7 +96,7 @@ def choi_functionals(r1: np.ndarray, r2: np.ndarray, pair: StatePair) -> tuple[f
     r1 = np.asarray(r1, dtype=complex)
     r2 = np.asarray(r2, dtype=complex)
     total = r1 + r2
-    if np.max(np.abs(partial_trace_first(total) - ID2)) > TRACE_PRESERVING_ATOL:
+    if not np.max(np.abs(partial_trace_first(total) - ID2)) <= TRACE_PRESERVING_ATOL:
         raise ValueError("R1 + R2 is not trace preserving within tolerance")
     p = 0.0
     d = 0.0
@@ -106,17 +108,17 @@ def choi_functionals(r1: np.ndarray, r2: np.ndarray, pair: StatePair) -> tuple[f
     return p, d
 
 
-def choi_to_kraus(r: np.ndarray, atol: float = 1e-10) -> list[np.ndarray]:
+def choi_to_kraus(r: np.ndarray) -> list[np.ndarray]:
     """Kraus operators of a Choi operator via Hermitian eigendecomposition.
 
-    Eigenvalues in [-atol, 0) are clamped to zero (numerical PSD drift); more
-    negative ones raise.
+    Eigenvalues in [-PSD_ATOL, 0) are clamped to zero (numerical PSD drift);
+    more negative ones raise.
     """
     r = np.asarray(r, dtype=complex)
-    if r.shape != (4, 4) or not is_hermitian(r, atol=atol):
+    if r.shape != (4, 4) or not is_hermitian(r):
         raise ValueError("Choi operator must be a 4x4 Hermitian matrix")
     vals, vecs = np.linalg.eigh(0.5 * (r + r.conj().T))
-    if vals[0] < -atol:
+    if vals[0] < -PSD_ATOL:
         raise ValueError(f"Choi operator is not PSD: min eigenvalue {vals[0]!r}")
     ops = []
     for lam, v in zip(vals, vecs.T):

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qubit import ID2, StatePair, is_hermitian, validate_state
+from .qubit import ID2, StatePair, validate_state
 
 COMPLETENESS_ATOL = 1e-10
 
@@ -38,17 +38,12 @@ class Instrument:
             clean.append(ops)
         object.__setattr__(self, "outcomes", tuple(clean))
         total = sum(e.conj().T @ e for ops in self.outcomes for e in ops)
-        if np.max(np.abs(total - ID2)) > COMPLETENESS_ATOL:
+        if not np.max(np.abs(total - ID2)) <= COMPLETENESS_ATOL:
             raise ValueError("Kraus operators do not satisfy the completeness relation")
 
     @property
     def n_outcomes(self) -> int:
         return len(self.outcomes)
-
-    @property
-    def is_pure(self) -> bool:
-        """True iff every outcome has exactly one Kraus operator."""
-        return all(len(ops) == 1 for ops in self.outcomes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,9 +58,9 @@ class Ensemble:
         states = tuple(np.asarray(s, dtype=complex) for s in self.states)
         if len(priors) != len(states):
             raise ValueError("priors and states must have matching lengths")
-        if any(p < 0 for p in priors):
+        if not all(p >= 0 for p in priors):
             raise ValueError("priors must be nonnegative")
-        if abs(sum(priors) - 1.0) > 1e-12:
+        if not abs(sum(priors) - 1.0) <= 1e-12:
             raise ValueError(f"priors must sum to 1, got {sum(priors)!r}")
         for s in states:
             validate_state(s)
@@ -77,27 +72,6 @@ class Ensemble:
     def equal_pair(cls, pair: StatePair) -> "Ensemble":
         """Equiprobable ensemble {1/2, psi1; 1/2, psi2}."""
         return cls(priors=(0.5, 0.5), states=(pair.psi1.copy(), pair.psi2.copy()))
-
-
-def apply_outcome(inst: Instrument, i: int, rho: np.ndarray) -> tuple[np.ndarray, float]:
-    """Apply outcome map i to a density matrix.
-
-    Returns the unnormalized output sum_k E_k rho E_k† together with its trace
-    (the outcome probability). The normalized posterior is output/probability
-    when the probability is nonzero; a zero-probability outcome returns the
-    zero matrix and probability 0, and normalization is the caller's problem.
-    """
-    if not 0 <= i < inst.n_outcomes:
-        raise IndexError(f"outcome index {i} out of range for {inst.n_outcomes} outcomes")
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (2, 2) or not is_hermitian(rho, atol=1e-10):
-        raise ValueError("rho must be a 2x2 Hermitian matrix")
-    if abs(np.trace(rho).real - 1.0) > 1e-10:
-        raise ValueError("rho must have unit trace")
-    out = np.zeros((2, 2), dtype=complex)
-    for e in inst.outcomes[i]:
-        out += e @ rho @ e.conj().T
-    return out, float(np.trace(out).real)
 
 
 def povm(inst: Instrument) -> list[np.ndarray]:

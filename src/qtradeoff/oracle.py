@@ -34,7 +34,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .choi import OMEGA
-from .qubit import ID2, SIGMA_X, SIGMA_Z, StatePair, min_eigenvalue_hermitian, projector, tensor
+from .qubit import ID2, SIGMA_X, SIGMA_Z, StatePair, check_t, is_hermitian, projector, tensor
 from .tradeoff import tradeoff_point
 
 FEASIBILITY_ATOL = 1e-6
@@ -96,14 +96,20 @@ def constraint_residuals(r1: np.ndarray, pair: StatePair, t: float) -> tuple[flo
     Returns (psd deficit, Tr[R1] - 1, Tr[(1 (x) sx) R1], Tr[(1 (x) sz) R1] - t);
     the psd deficit is the amount by which the smallest eigenvalue dips below
     zero. The sz target (2 P_t - 1)/cos 2a simplifies to t exactly, but the
-    division degenerates at a = pi/4, which is rejected.
+    division degenerates at a = pi/4, which is rejected. R1 must be a 4x4
+    Hermitian matrix; a real one is evaluated in real arithmetic.
     """
     if float(pair.alpha) == np.pi / 4:
         raise ValueError("constraints degenerate at alpha = pi/4 (cos 2a = 0)")
-    r1 = np.asarray(r1, dtype=complex)
-    psd = max(0.0, -min_eigenvalue_hermitian(r1))
+    r1 = np.asarray(r1)
+    if r1.shape != (4, 4) or not is_hermitian(r1):
+        raise ValueError("R1 must be a 4x4 Hermitian matrix")
+    psd = max(0.0, -float(np.linalg.eigvalsh(r1)[0]))
     sx, sz = np.real(np.einsum("kij,ji->k", _DUAL_OPS, r1))
-    return psd, float(np.real(np.trace(r1))) - 1.0, float(sx), float(sz) - float(t)
+    # Summed pairwise, as np.trace sums a complex diagonal, so that a real R1 and
+    # its complex copy give the same bits.
+    d = np.real(np.diagonal(r1))
+    return psd, float((d[0] + d[1]) + (d[2] + d[3])) - 1.0, float(sx), float(sz) - float(t)
 
 
 def _face_solution(sig: np.ndarray) -> tuple[np.ndarray, float]:
@@ -244,12 +250,10 @@ def maximize(pair: StatePair, t: float, cfg: OracleConfig | None = None) -> Orac
     Deterministic: identical arguments give bit-identical results. cfg is
     accepted and ignored. Never consults the closed forms in `tradeoff`.
     """
-    t = float(t)
     alpha = float(pair.alpha)
     if not 0.0 < alpha < np.pi / 4:
         raise ValueError("oracle requires alpha strictly inside (0, pi/4)")
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"t must lie in [0, 1], got {t!r}")
+    t = check_t(t)
     sig = sigma_objective(pair)
 
     if t == 1.0:
@@ -300,8 +304,8 @@ class VerificationReport:
     points: tuple[VerificationPoint, ...]
     max_gap: float
     all_passed: bool
-    superoptimality_margin: float = 0.0
-    no_superoptimality: bool = True
+    superoptimality_margin: float
+    no_superoptimality: bool
 
     def as_dict(self) -> dict:
         payload = asdict(self)

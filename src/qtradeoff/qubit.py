@@ -11,20 +11,21 @@ import numpy as np
 
 # Library-wide tolerance for direct algebraic identities.
 ATOL_ALGEBRAIC = 1e-12
+# Entrywise tolerance of is_hermitian.
+HERMITIAN_ATOL = 1e-10
 
 ID2 = np.eye(2, dtype=complex)
-ID4 = np.eye(4, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
-for _const in (ID2, ID4, SIGMA_X, SIGMA_Z):
+for _const in (ID2, SIGMA_X, SIGMA_Z):
     _const.setflags(write=False)
 
 
-def is_hermitian(m: np.ndarray, atol: float = ATOL_ALGEBRAIC) -> bool:
-    """Entrywise max|M - M†| <= atol."""
+def is_hermitian(m: np.ndarray) -> bool:
+    """Square, with entrywise max|M - M†| <= HERMITIAN_ATOL (NaN fails)."""
     m = np.asarray(m)
-    return m.ndim == 2 and m.shape[0] == m.shape[1] and bool(np.max(np.abs(m - m.conj().T)) <= atol)
+    return m.ndim == 2 and m.shape[0] == m.shape[1] and bool(np.max(np.abs(m - m.conj().T)) <= HERMITIAN_ATOL)
 
 
 def projector(psi: np.ndarray) -> np.ndarray:
@@ -39,16 +40,9 @@ def validate_state(psi) -> np.ndarray:
     if psi.shape != (2,):
         raise ValueError(f"pure state must be a 2-component vector, got shape {psi.shape}")
     norm2 = float(np.real(np.vdot(psi, psi)))
-    if abs(norm2 - 1.0) > ATOL_ALGEBRAIC:
+    if not abs(norm2 - 1.0) <= ATOL_ALGEBRAIC:
         raise ValueError(f"state not normalized: |psi|^2 = {norm2!r}")
     return psi
-
-
-def fidelity(a: np.ndarray, b: np.ndarray) -> float:
-    """Overlap |<a|b>| of two normalized pure states. Symmetric in its arguments."""
-    a = validate_state(a)
-    b = validate_state(b)
-    return float(abs(np.vdot(a, b)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,16 +60,13 @@ class StatePair:
     def __post_init__(self):
         validate_state(self.psi1)
         validate_state(self.psi2)
-        if np.max(np.abs(SIGMA_X @ self.psi1 - self.psi2)) > ATOL_ALGEBRAIC:
+        # Written so that NaN fails: every comparison with NaN is false.
+        if not np.max(np.abs(SIGMA_X @ self.psi1 - self.psi2)) <= ATOL_ALGEBRAIC:
             raise ValueError("psi2 must be the component exchange of psi1")
-        if abs(np.vdot(self.psi1, self.psi2) - np.sin(2.0 * self.alpha)) > ATOL_ALGEBRAIC:
+        if not abs(np.vdot(self.psi1, self.psi2) - np.sin(2.0 * self.alpha)) <= ATOL_ALGEBRAIC:
             raise ValueError("overlap does not match sin(2 alpha)")
         self.psi1.setflags(write=False)
         self.psi2.setflags(write=False)
-
-    @property
-    def overlap(self) -> float:
-        return float(np.sin(2.0 * self.alpha))
 
 
 def check_alpha(alpha: float) -> float:
@@ -84,6 +75,14 @@ def check_alpha(alpha: float) -> float:
     if not 0.0 <= alpha <= np.pi / 4:
         raise ValueError(f"alpha must lie in [0, pi/4], got {alpha!r}")
     return alpha
+
+
+def check_t(t: float) -> float:
+    """The control parameter as a float; raises ValueError outside [0, 1] (NaN included)."""
+    t = float(t)
+    if not 0.0 <= t <= 1.0:
+        raise ValueError(f"t must lie in [0, 1], got {t!r}")
+    return t
 
 
 def symmetric_pair(alpha: float) -> StatePair:
@@ -110,21 +109,3 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 SIGMA_XX = tensor(SIGMA_X, SIGMA_X)
 SIGMA_XX.setflags(write=False)
-
-
-def min_eigenvalue_hermitian(m: np.ndarray, atol: float = 1e-10) -> float:
-    """Smallest eigenvalue of a Hermitian 2x2 or 4x4 matrix.
-
-    Uses the closed form for 2x2 and LAPACK's iterative solver for 4x4.
-    Raises ValueError if the input is not Hermitian within `atol`.
-    """
-    m = np.asarray(m, dtype=complex)
-    if m.shape not in ((2, 2), (4, 4)):
-        raise ValueError(f"expected a 2x2 or 4x4 matrix, got shape {m.shape}")
-    if not is_hermitian(m, atol=atol):
-        raise ValueError("matrix is not Hermitian within tolerance")
-    if m.shape == (2, 2):
-        a, d = m[0, 0].real, m[1, 1].real
-        disc = (a - d) ** 2 + 4.0 * abs(m[0, 1]) ** 2
-        return float(0.5 * (a + d - np.sqrt(disc)))
-    return float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0])

@@ -85,8 +85,3 @@ def run(inst: Instrument, pair: StatePair, cfg: SimulationConfig) -> SimulationR
         shots=n,
         seed=int(cfg.seed),
     )
-
-
-def outcome_counts(inst: Instrument, pair: StatePair, cfg: SimulationConfig) -> np.ndarray:
-    """Counts over the four (state, outcome) cells, the same draw as run()."""
-    return _draw_counts(_cell_tables(inst, pair)[0], cfg)

@@ -17,14 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instruments import Instrument
-from .qubit import ID2, SIGMA_Z, check_alpha
-
-
-def _check_t(t: float) -> float:
-    t = float(t)
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"t must lie in [0, 1], got {t!r}")
-    return t
+from .qubit import ID2, SIGMA_Z, check_alpha, check_t
 
 
 def _gamma(t: float) -> float:
@@ -81,13 +74,13 @@ def tilt_t(alpha: float, t: float) -> float:
     corner a = pi/4, t = 1 the denominator vanishes and arctan2 returns pi/4.
     """
     alpha = check_alpha(alpha)
-    t = _check_t(t)
+    t = check_t(t)
     num = t * np.sin(2.0 * alpha)
     den = np.cos(2.0 * alpha) ** 2 + _gamma(t) * np.sin(2.0 * alpha) ** 2
     return float(0.5 * np.arctan2(num, den))
 
 
-def feedback_unitary(beta: float) -> np.ndarray:
+def _feedback_unitary(beta: float) -> np.ndarray:
     """Rotation by beta taking |1> toward |2>: columns (cos b, sin b), (-sin b, cos b)."""
     c, s = np.cos(beta), np.sin(beta)
     return np.array([[c, -s], [s, c]], dtype=complex)
@@ -109,9 +102,9 @@ def optimal_instrument(alpha: float, t: float) -> Instrument:
     outcome, t = 1 the measure-and-prepare minimum-error instrument.
     """
     alpha = check_alpha(alpha)
-    t = _check_t(t)
+    t = check_t(t)
     m1, m2 = _measurement_kraus(t)
-    u = feedback_unitary(tilt_t(alpha, t))
+    u = _feedback_unitary(tilt_t(alpha, t))
     return Instrument(outcomes=((u @ m1,), (u.conj().T @ m2,)))
 
 
@@ -122,7 +115,7 @@ def no_feedback_instrument(alpha: float, t: float) -> Instrument:
     disturbs strictly more for 0 < a < pi/4 and t > 0.
     """
     alpha = check_alpha(alpha)
-    t = _check_t(t)
+    t = check_t(t)
     m1, m2 = _measurement_kraus(t)
     return Instrument(outcomes=((m1,), (m2,)))
 
@@ -150,7 +143,7 @@ class NormalizedPoint:
 def tradeoff_point(alpha: float, t: float) -> TradeoffPoint:
     """Evaluate the optimal curve at (a, t)."""
     alpha = check_alpha(alpha)
-    t = _check_t(t)
+    t = check_t(t)
     gamma = _gamma(t)
     p = float(t * np.cos(alpha) ** 2 + (1.0 - t) / 2.0)
     d = _curve_disturbance(np.sin(4.0 * alpha) * t * t / (2.0 * (1.0 + gamma)))

@@ -22,6 +22,13 @@ def run_cli(capsys, argv):
     return code, captured.out, captured.err
 
 
+def _child_env() -> dict:
+    """The environment with this package's src/ first on PYTHONPATH, for child interpreters."""
+    src = str(pathlib.Path(qtradeoff.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 class TestCurve:
     def test_csv_structure_and_endpoints(self, capsys):
         code, out, _ = run_cli(capsys, ["curve", "--fsq", "0.5", "--points", "5"])
@@ -346,17 +353,14 @@ class TestUsageErrors:
     def test_module_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "qtradeoff.cli", "point", "--fsq", "0.5", "--t", "0.5"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=_child_env())
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["P"] == pytest.approx(0.6767766952966369, abs=1e-12)
 
 
 def test_import_does_not_load_scipy():
-    src = str(pathlib.Path(qtradeoff.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, qtradeoff; print('scipy' in sys.modules)"],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"

@@ -87,6 +87,21 @@ class TestConstraintResiduals:
         with pytest.raises(ValueError):
             constraint_residuals(np.eye(4, dtype=complex) / 4, pair, 0.5)
 
+    @pytest.mark.parametrize("r1", [np.triu(np.ones((4, 4))) / 4, np.eye(3) / 3],
+                             ids=["non-hermitian", "3x3"])
+    def test_rejects_non_hermitian_or_wrong_shape(self, r1):
+        with pytest.raises(ValueError, match="4x4 Hermitian"):
+            constraint_residuals(r1, symmetric_pair(PI8), 0.5)
+
+    @pytest.mark.parametrize("t", [0.3, 0.9, 1.0 - 1e-9])
+    def test_real_and_complex_inputs_agree(self, t):
+        pair = symmetric_pair(0.3)
+        r1 = maximize(pair, t).best_R1
+        assert r1.dtype == np.float64
+        real = constraint_residuals(r1, pair, t)
+        cplx = constraint_residuals(r1.astype(complex), pair, t)
+        np.testing.assert_allclose(real, cplx, rtol=0, atol=1e-15)
+
 
 def assert_certified(alpha, t):
     result = maximize(symmetric_pair(alpha), t)

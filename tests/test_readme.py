@@ -1,8 +1,14 @@
-"""README's examples run: every `qtradeoff` line of its shell blocks, and its Python block."""
+"""README's examples run (every `qtradeoff` line of its shell blocks, and its Python block),
+and its module list is the package's public surface."""
+import dataclasses
+import importlib
+import inspect
 import pathlib
 import re
 import shlex
+import types
 
+import qtradeoff
 from qtradeoff.cli import main
 
 README = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -25,3 +31,62 @@ def test_cli_examples_exit_zero(capsys, monkeypatch, tmp_path):
 def test_python_example_runs():
     (block,) = _blocks("python")
     exec(compile(block, "README.md", "exec"), {})
+
+
+# The public surface is what README documents. Each module may also define
+# names that other modules of the package use; they are listed here, so that
+# a new name is either documented or declared internal.
+INTERNAL = {
+    "qubit": {"ATOL_ALGEBRAIC", "HERMITIAN_ATOL", "check_alpha", "check_t", "is_hermitian",
+              "validate_state"},
+    "instruments": {"COMPLETENESS_ATOL", "cell_tables"},
+    "choi": {"PSD_ATOL", "TRACE_PRESERVING_ATOL"},
+    "tradeoff": {"NormalizedPoint"},
+    "oracle": {"FEASIBILITY_ATOL", "SUPEROPTIMALITY_TOL", "VerificationPoint"},
+    "simulate": {"MAX_SHOTS"},
+}
+# Public attributes of exported classes besides their dataclass fields.
+CLASS_ATTRIBUTES = {"Ensemble": {"equal_pair"}, "Instrument": {"n_outcomes"},
+                    "VerificationReport": {"as_dict"}}
+
+
+def _documented_modules() -> dict[str, set[str]]:
+    """Module -> backticked names of its bullet in README's module list."""
+    section = README.split("Modules and their public names")[1].split("\n\n")[1]
+    bullets = re.findall(r"^- `(\w+)`(.*?)(?=^- |\Z)", section, flags=re.S | re.M)
+    return {module: set(re.findall(r"`(\w+)`", text)) for module, text in bullets}
+
+
+def _defined_here(module) -> set[str]:
+    """Public names a module defines itself, not the ones it imports."""
+    return {name for name, value in vars(module).items()
+            if not name.startswith("_") and not isinstance(value, types.ModuleType)
+            and getattr(value, "__module__", module.__name__) == module.__name__}
+
+
+def test_public_names_are_documented():
+    documented = _documented_modules()
+    assert "cli" in documented
+    listed = set().union(*documented.values())
+    assert listed == set(qtradeoff.__all__) - {"__version__"}
+    assert "`__version__`" in README
+    for module_name, names in documented.items():
+        module = importlib.import_module(f"qtradeoff.{module_name}")
+        for name in names:
+            assert getattr(module, name) is getattr(qtradeoff, name), (module_name, name)
+
+
+def test_no_undocumented_public_names():
+    exported = {name for name, value in vars(qtradeoff).items()
+                if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert exported == set(qtradeoff.__all__) - {"__version__"}
+    for module_name in INTERNAL:
+        module = importlib.import_module(f"qtradeoff.{module_name}")
+        extra = _defined_here(module) - set(qtradeoff.__all__) - INTERNAL[module_name]
+        assert not extra, (module_name, extra)
+    for name in qtradeoff.__all__:
+        cls = getattr(qtradeoff, name)
+        if inspect.isclass(cls):
+            fields = {f.name for f in dataclasses.fields(cls)}
+            extra = {a for a in vars(cls) if not a.startswith("_")} - fields
+            assert extra == CLASS_ATTRIBUTES.get(name, set()), name
