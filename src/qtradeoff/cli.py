@@ -56,6 +56,8 @@ def _add_input_arguments(p: argparse.ArgumentParser) -> list[argparse.Action]:
 
 def _resolve_alpha(args) -> float:
     if args.fsq is not None:
+        if args.degrees:
+            raise ValueError("--degrees converts --alpha only; it cannot be combined with --fsq")
         if not 0.0 <= args.fsq <= 1.0:
             raise ValueError(f"--fsq must lie in [0, 1], got {args.fsq}")
         return 0.5 * math.asin(math.sqrt(args.fsq))

@@ -7,24 +7,37 @@ Eliminating the trace multiplier leaves a convex Lagrange dual in two variables,
 
     min_y lambda_max(Sigma - y1 (1 (x) sx) - y2 (1 (x) sz)) + t y2,
 
-and every y gives a proven upper bound on the maximum, i.e. a lower bound on the
-disturbance (Vandenberghe & Boyd, SIAM Rev. 38:49, 1996). The solver minimizes
-the entropic smoothing g_mu(y) = mu log Tr exp(M(y)/mu) + t y2 by damped Newton
-in a trust region, continuing mu from 1e-1 down to 1e-9. One eigendecomposition
-of M(y) per dual point yields g_mu and the exact dual value in scalar
-arithmetic; the gradient and Hessian are formed only at accepted points, and
-the Gibbs state exp(M/mu)/Tr only at stage ends. The Gibbs state is positive by
-construction, has unit trace, and its remaining constraint residuals are minus
-the gradient. A Gibbs state is the primal answer; the least dual value seen is
-the certificate.
+and every y gives a proven upper bound on the maximum over every feasible R1,
+of any rank and complex ones included, i.e. a lower bound on the disturbance
+(Vandenberghe & Boyd, SIAM Rev. 38:49, 1996).
 
-Both ends of the t range are solved exactly instead. At t = 0 the identity
-channel R1 = |Om><Om|/2, |Om> = |11> + |22>, is feasible with Tr[Sigma R1] = 1,
-and the dual point y = (<psi1|psi2>, 0), where lambda_max(M(y)) = 1, proves it
+The primal is solved exactly over rank-one operators R1 = w w^T, the Choi
+operators of pure instruments: w read row-major is the first outcome's Kraus
+operator W. For a real w the three conditions say Tr_1 R1 = W^T W = tau =
+diag((1 + t)/2, (1 - t)/2), so W = Q sqrt(tau) with Q in O(2): a feedback
+rotation or reflection times the square root of a POVM element. Each of
+O(2)'s two components is a circle, Q = cos(th) A + sin(th) B with
+(A, B) = (1, [[0, -1], [1, 0]]) for rotations and (sz, sx) for reflections.
+On a circle w^T Sigma w is a quadratic form in (cos th, sin th), so its
+maximum is the top eigenpair of a 2x2 matrix; best_R1 comes from the better
+circle. tau comes from the constraints alone.
+
+The certificate for 0 < t < 1 is the KKT point of each circle's maximum: the
+(y, lambda) with Sigma w - y1 (1 (x) sx) w - y2 (1 (x) sz) w = lambda w,
+solved by 4x3 least squares. At the optimum w is a top eigenvector of M(y)
+and the dual value equals the objective. The lesser of the two circles' dual
+values is kept: near alpha = pi/4 with t -> 1 the circles nearly coincide at
+a kink of the dual, and one circle's KKT point lands on the wrong side of it.
+Were the optimum not rank one, certified_gap would show it.
+
+Both ends of the t range are exact. At t = 0 the identity channel
+R1 = |Om><Om|/2, |Om> = |11> + |22>, is feasible with Tr[Sigma R1] = 1, and
+the dual point y = (<psi1|psi2>, 0), where lambda_max(M(y)) = 1, proves it
 optimal. At t = 1 the dual optimum is not attained (y2 diverges): the
-constraints pin the input marginal of R1 to the pure state |1><1|, which forces
-R1 = S (x) |1><1| and reduces the program to maximizing Tr[S M] over 2x2
-density matrices S, i.e. to the top eigenvalue of M[i,j] = Sigma[2i, 2j].
+constraints pin the input marginal of R1 to the pure state |1><1|, which
+forces R1 = S (x) |1><1|. That face is the rank-one family itself, since
+sqrt(tau) puts w on indices 0 and 2, and the family's maximum is the face's
+exact optimum, its own certificate.
 """
 from __future__ import annotations
 
@@ -42,9 +55,8 @@ SUPEROPTIMALITY_TOL = 1e-5
 
 # Constraint operators 1 (x) sx and 1 (x) sz; their multipliers are the dual variables.
 _DUAL_OPS = np.stack([tensor(ID2, SIGMA_X).real, tensor(ID2, SIGMA_Z).real])
-_SMOOTHING_SCHEDULE = tuple(10.0 ** -k for k in range(1, 10))
-_NEWTON_STEPS_PER_STAGE = 60
-_ARMIJO = 1e-4
+# The two components of O(2), Q = cos(th) A + sin(th) B: rotations, then reflections.
+_CIRCLES = ((ID2.real, np.array([[0.0, -1.0], [1.0, 0.0]])), (SIGMA_Z.real, SIGMA_X.real))
 _EPS = np.finfo(float).eps
 # Forming M(y), its eigh and the sum lambda_max + t y2 each round by a small
 # multiple of eps * max|lambda| (measured up to 1.75 against 40-digit mpmath),
@@ -55,20 +67,23 @@ _DUAL_ROUNDING = 8.0 * _EPS
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Accepted for compatibility and ignored: the dual Newton solver has no settings."""
+    """Accepted for compatibility and ignored: the exact rank-one solution has no settings."""
 
 
 @dataclass(frozen=True, eq=False)
 class OracleResult:
     """Optimum of the oracle program with its certificate.
 
-    best_R1 is positive with unit trace and meets the two remaining linear
-    conditions to within constraint_residuals; achieved_D = 1 - Tr[Sigma R1].
-    lower_bound_D is a proven lower bound on the minimum disturbance, with an
-    allowance for eigenvalue rounding. certified_gap = achieved_D - lower_bound_D
-    + |lambda_max r_tr| + |y1 r_sx| + |y2 r_sz| for the dual point y that set the
-    bound and R1's residuals r in the trace, sx and sz conditions; by weak
-    duality it is never negative.
+    best_R1 = w w^T is the best real rank-one operator that meets the linear
+    conditions, exact up to rounding (constraint_residuals);
+    achieved_D = 1 - Tr[Sigma R1]. lower_bound_D is a proven lower bound on
+    the minimum disturbance over operators of any rank, with an allowance for
+    eigenvalue rounding: for 0 < t < 1 the dual value at a KKT point of w, at
+    t = 0 the dual value at y = (<psi1|psi2>, 0), and at t = 1 achieved_D
+    itself. certified_gap = achieved_D - lower_bound_D + |lambda_max r_tr| +
+    |y1 r_sx| + |y2 r_sz| for the dual point y that set the bound and R1's
+    residuals r in the trace, sx and sz conditions; by weak duality it is
+    never negative.
     """
 
     best_R1: np.ndarray
@@ -112,63 +127,10 @@ def constraint_residuals(r1: np.ndarray, pair: StatePair, t: float) -> tuple[flo
     return psd, float((d[0] + d[1]) + (d[2] + d[3])) - 1.0, float(sx), float(sz) - float(t)
 
 
-def _face_solution(sig: np.ndarray) -> tuple[np.ndarray, float]:
-    """Exact optimum on the t = 1 face R1 = S (x) |1><1|."""
-    vals, vecs = np.linalg.eigh(sig[0::2, 0::2])
-    s = np.outer(vecs[:, -1], vecs[:, -1])
-    return tensor(s, np.diag([1.0, 0.0])).real, float(vals[-1])
-
-
 def _spectrum(sig: np.ndarray, y: tuple[float, float]) -> tuple[list[float], np.ndarray]:
     """Eigenvalues (ascending) and eigenvectors of M(y) = Sigma - y1 (1 (x) sx) - y2 (1 (x) sz)."""
     lam, v = np.linalg.eigh(sig - np.dot(y, _DUAL_OPS.reshape(2, 16)).reshape(4, 4))
     return lam.tolist(), v
-
-
-def _smoothed(lam: list[float], y: tuple[float, float], t: float, mu: float) -> tuple[float, list[float]]:
-    """g_mu at y and the Gibbs weights p of exp(M/mu)/Tr in M's eigenbasis."""
-    w = [math.exp((x - lam[-1]) / mu) for x in lam]
-    total = sum(w)
-    return lam[-1] + mu * math.log(total) + t * y[1], [x / total for x in w]
-
-
-def _derivatives(lam: list[float], v: np.ndarray, p: list[float], t: float, mu: float):
-    """Gradient (g1, g2) and Hessian (h11, h12, h22) of g_mu, in scalar arithmetic.
-
-    The gradient is (0, t) minus the constraint values Tr[A_k gibbs] = sum_i p_i
-    b_k[i, i], with b_k the constraint operators in M's eigenbasis. The Hessian
-    is the Daleckii-Krein form of the second derivative of mu log Tr exp(M/mu):
-    the covariance of the diagonals under p divided by mu, plus divided
-    differences (p_i - p_j)/(lam_i - lam_j) on the off-diagonal entries.
-    """
-    b1, b2 = (v.T @ _DUAL_OPS @ v).tolist()
-    d1 = [b1[i][i] for i in range(4)]
-    d2 = [b2[i][i] for i in range(4)]
-    m1 = sum(pi * di for pi, di in zip(p, d1))
-    m2 = sum(pi * di for pi, di in zip(p, d2))
-    h11 = sum(pi * (a - m1) * (a - m1) for pi, a in zip(p, d1)) / mu
-    h12 = sum(pi * (a - m1) * (b - m2) for pi, a, b in zip(p, d1, d2)) / mu
-    h22 = sum(pi * (b - m2) * (b - m2) for pi, b in zip(p, d2)) / mu
-    for i in range(3):
-        for j in range(i + 1, 4):
-            # (p_i - p_j)/(lam_i - lam_j) = max(p_i, p_j) (1 - exp(-x))/x / mu with
-            # x = |lam_i - lam_j|/mu, which neither cancels nor overflows; the
-            # pair (j, i) contributes the same again.
-            x = (lam[j] - lam[i]) / mu
-            k = 2.0 * max(p[i], p[j]) * (-math.expm1(-x) / x if x > 0.0 else 1.0) / mu
-            h11 += k * b1[i][j] * b1[i][j]
-            h12 += k * b1[i][j] * b2[i][j]
-            h22 += k * b2[i][j] * b2[i][j]
-    return (-m1, t - m2), (h11, h12, h22)
-
-
-def _newton_step(grad, hess) -> tuple[float, float]:
-    """Solve hess @ step = -grad by Cramer's rule; -grad where hess is singular."""
-    h11, h12, h22 = hess
-    det = h11 * h22 - h12 * h12
-    if det == 0.0 or not math.isfinite(det):
-        return -grad[0], -grad[1]
-    return (h12 * grad[1] - h22 * grad[0]) / det, (h12 * grad[0] - h11 * grad[1]) / det
 
 
 def _certified_dual(lam: list[float], y: tuple[float, float], t: float):
@@ -176,72 +138,28 @@ def _certified_dual(lam: list[float], y: tuple[float, float], t: float):
     return lam[-1] + t * y[1] + _DUAL_ROUNDING * max(lam[-1], -lam[0]), y, lam[-1]
 
 
-def _line_search(sig, y, t, mu, g, grad, step):
-    """Backtrack along step, capped to the trust region.
-
-    Returns the accepted (y, lam, v, g, p, grad, hess) or None; derivatives are
-    computed only where a trial is accepted or must be compared.
-    """
-    length = math.hypot(*step)
-    if not 0.0 < length < math.inf:
-        return None
-    # Trust region: far from the optimum the Newton step of a nearly linear
-    # g_mu overshoots without bound.
-    scale = min(1.0, 0.5 * (1.0 + math.hypot(*y)) / length)
-    step = (step[0] * scale, step[1] * scale)
-    decrease = -(grad[0] * step[0] + grad[1] * step[1])
-
-    def trial(s):
-        y_new = (y[0] + s * step[0], y[1] + s * step[1])
-        lam, v = _spectrum(sig, y_new)
-        return (y_new, lam, v, *_smoothed(lam, y_new, t, mu))
-
-    # Below this, g_mu cannot resolve the predicted decrease; the gradient
-    # still can, so a full step must shrink it instead.
-    if decrease <= 8.0 * _EPS * (1.0 + abs(g) + abs(y[0]) + abs(y[1])):
-        y_new, lam, v, g_new, p = trial(1.0)
-        grad_new, hess = _derivatives(lam, v, p, t, mu)
-        shrinks = math.hypot(*grad_new) < math.hypot(*grad)
-        return (y_new, lam, v, g_new, p, grad_new, hess) if shrinks else None
-    s = 1.0
-    while s > 1e-12:
-        y_new, lam, v, g_new, p = trial(s)
-        if g_new <= g - _ARMIJO * s * decrease:
-            return (y_new, lam, v, g_new, p, *_derivatives(lam, v, p, t, mu))
-        s *= 0.5
-    return None
+def _circle_maxima(sig: np.ndarray, t: float) -> list[tuple[float, np.ndarray]]:
+    """(w^T Sigma w, w) at the maximum on each circle w = vec((cos th A + sin th B) sqrt(tau))."""
+    root = np.sqrt([(1.0 + t) / 2.0, (1.0 - t) / 2.0])
+    maxima = []
+    for a_mat, b_mat in _CIRCLES:
+        # a and b are orthonormal, so (cos th, sin th) -> w is an isometry.
+        a, b = (a_mat * root).ravel(), (b_mat * root).ravel()
+        sa, sb = sig @ a, sig @ b
+        p, q, r = float(a @ sa), float(a @ sb), float(b @ sb)
+        # p c^2 + 2 q c s + r s^2 = (p + r)/2 + hypot((p - r)/2, q) cos(2 th - phi),
+        # with phi = atan2(2 q, p - r), so the maximum is at th = phi/2.
+        th = 0.5 * math.atan2(2.0 * q, p - r)
+        maxima.append((0.5 * (p + r) + math.hypot(0.5 * (p - r), q), math.cos(th) * a + math.sin(th) * b))
+    return maxima
 
 
-def _dual_newton(sig: np.ndarray, t: float):
-    """The best stage-final Gibbs state, the least dual value seen, its dual point and lambda_max there.
-
-    Each dual point costs one eigh of M(y); since M(y) does not depend on mu, a
-    new stage starts from the last eigenpairs. Where the top-eigenvalue gap at
-    the optimum is of order mu or less (at small t, where it grows as t^2, and
-    near alpha = pi/4), the gradient carries rounding of order eps/mu and the
-    last stage is not always the best: each stage-final Gibbs state is scored by
-    the larger of its constraint residual and its distance to the dual bound.
-    """
-    y = (0.0, 0.0)
-    lam, v = _spectrum(sig, y)
-    best = _certified_dual(lam, y, t)  # the least dual value seen, its y and lambda_max
-    stage_ends = []
-    for mu in _SMOOTHING_SCHEDULE:
-        g, p = _smoothed(lam, y, t, mu)
-        grad, hess = _derivatives(lam, v, p, t, mu)
-        for _ in range(_NEWTON_STEPS_PER_STAGE):
-            # Steepest descent where g_mu is flat along some direction and the
-            # Newton step is meaningless.
-            accepted = _line_search(sig, y, t, mu, g, grad, _newton_step(grad, hess)) or \
-                _line_search(sig, y, t, mu, g, grad, (-grad[0], -grad[1]))
-            if accepted is None:
-                break
-            y, lam, v, g, p, grad, hess = accepted
-            best = min(best, _certified_dual(lam, y, t), key=lambda b: b[0])
-        gibbs = (v * p) @ v.T
-        stage_ends.append((gibbs, max(abs(grad[0]), abs(grad[1])), float(np.sum(sig * gibbs))))
-    gibbs = min(stage_ends, key=lambda e: max(e[1], abs(best[0] - e[2])))[0]
-    return gibbs, *best
+def _kkt_dual(sig: np.ndarray, w: np.ndarray, t: float):
+    """_certified_dual at the y for which w is an eigenvector of M(y), in the least-squares sense."""
+    lhs = np.stack([_DUAL_OPS[0] @ w, _DUAL_OPS[1] @ w, w], axis=1)
+    (y1, y2, _), *_ = np.linalg.lstsq(lhs, sig @ w, rcond=None)
+    y = (float(y1), float(y2))
+    return _certified_dual(_spectrum(sig, y)[0], y, t)
 
 
 def maximize(pair: StatePair, t: float, cfg: OracleConfig | None = None) -> OracleResult:
@@ -256,25 +174,26 @@ def maximize(pair: StatePair, t: float, cfg: OracleConfig | None = None) -> Orac
     t = check_t(t)
     sig = sigma_objective(pair)
 
-    if t == 1.0:
-        # The face reduction is exact: its optimum is its own certificate.
-        r1, obj = _face_solution(sig)
-        achieved = lower = 1.0 - obj
-        weights = np.zeros(3)
+    if t == 0.0:
+        # Exact: Sigma - <psi1|psi2> (1 (x) sx) <= 1, so this y certifies R1.
+        r1 = np.outer(OMEGA, OMEGA).real / 2.0
+        y = (float(np.vdot(pair.psi1, pair.psi2).real), 0.0)
+        duals = [_certified_dual(_spectrum(sig, y)[0], y, t)]
     else:
-        if t == 0.0:
-            # Exact: Sigma - <psi1|psi2> (1 (x) sx) <= 1, so this y certifies R1.
-            r1 = np.outer(OMEGA, OMEGA).real / 2.0
-            y = (float(np.vdot(pair.psi1, pair.psi2).real), 0.0)
-            dual, y, lam_max = _certified_dual(_spectrum(sig, y)[0], y, t)
-        else:
-            r1, dual, y, lam_max = _dual_newton(sig, t)
-        achieved = 1.0 - float(np.sum(sig * r1))
+        maxima = _circle_maxima(sig, t)
+        w = max(maxima, key=lambda m: m[0])[1]
+        r1 = np.outer(w, w)
+        # At t = 1 the family is the face, whose optimum is its own certificate.
+        duals = [_kkt_dual(sig, u, t) for _, u in maxima] if t < 1.0 else []
+    achieved = 1.0 - float(np.sum(sig * r1))
+    if duals:
+        dual, y, lam_max = min(duals, key=lambda d: d[0])
         lower = 1.0 - dual
         weights = np.array([lam_max, *y])
+    else:
+        lower, weights = achieved, np.zeros(3)
     residuals = constraint_residuals(r1, pair, t)
     # Weak duality at y: Tr[Sigma R1] <= dual + lambda_max r_tr + y1 r_sx + y2 r_sz.
-    # The t = 0 and t = 1 solutions meet the conditions exactly.
     slack = float(np.abs(weights * residuals[1:]).sum())
     return OracleResult(
         best_R1=r1,

@@ -48,13 +48,14 @@ def optimal_tilt(alpha: float) -> float:
 def tilt_disturbance(alpha: float, beta: float) -> float:
     """Disturbance of the minimum-error measurement with feedback tilt beta.
 
-    D(b) = 1 - cos^2 a cos^2(b - a) - sin^2 a sin^2(a + b).
+    D(b) = 1 - cos^2 a cos^2(b - a) - sin^2 a sin^2(a + b), evaluated as the
+    sum of squares cos^2 a sin^2(b - a) + sin^2 a cos^2(a + b), which does not
+    cancel as D -> 0.
     """
     alpha = check_alpha(alpha)
     beta = float(beta)
-    return float(1.0
-                 - np.cos(alpha) ** 2 * np.cos(beta - alpha) ** 2
-                 - np.sin(alpha) ** 2 * np.sin(alpha + beta) ** 2)
+    return float(np.cos(alpha) ** 2 * np.sin(beta - alpha) ** 2
+                 + np.sin(alpha) ** 2 * np.cos(alpha + beta) ** 2)
 
 
 def helstrom_min_disturbance(alpha: float) -> float:

@@ -281,11 +281,18 @@ class TestUsageErrors:
         ["verify", "--fsq", "0.5", "--points", str(10**20)],
         ["verify", "--fsq", "0.5", "--points", "0"],
         ["verify", "--fsq", "0.5", "--points", "-3"],
+        ["point", "--fsq", "0.5", "--degrees", "--t", "0.5"],
     ])
     def test_exit_code_two(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+    def test_degrees_with_fsq_names_both_flags(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["point", "--fsq", "0.5", "--degrees", "--t", "0.5"])
+        message = capsys.readouterr().err.splitlines()[-1]
+        assert "--degrees" in message and "--fsq" in message
 
     def test_usage_names_the_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:

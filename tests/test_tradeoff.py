@@ -76,6 +76,16 @@ class TestTiltDisturbance:
     def test_zero_angle(self):
         assert tilt_disturbance(0.0, 0.0) == 0.0
 
+    @pytest.mark.parametrize("alpha", [1e-8, 1e-6, 1e-4, 0.1, 0.5, 0.78, 0.785])
+    def test_relative_accuracy_against_mpmath(self, alpha):
+        mpmath = pytest.importorskip("mpmath")
+        beta = optimal_tilt(alpha)
+        with mpmath.workdps(50):
+            a, b = mpmath.mpf(alpha), mpmath.mpf(beta)
+            reference = 1 - mpmath.cos(a) ** 2 * mpmath.cos(b - a) ** 2 - mpmath.sin(a) ** 2 * mpmath.sin(a + b) ** 2
+            rel = abs((mpmath.mpf(tilt_disturbance(alpha, beta)) - reference) / reference)
+        assert rel <= 1e-14
+
 
 class TestHelstromMinDisturbance:
     def test_endpoints_vanish(self):
