@@ -1,73 +1,55 @@
-"""Optimal information-disturbance tradeoff for discriminating two pure qubit states."""
+"""Optimal information-disturbance tradeoff for discriminating two pure qubit states.
+
+The exports below are resolved on first use (PEP 562), so that importing the
+package, or running the CLI's closed-form commands, does not import numpy.
+"""
+import importlib
+import sys
 
 __version__ = "0.1.0"
 
-from .qubit import (
-    ID2,
-    SIGMA_X,
-    SIGMA_XX,
-    SIGMA_Z,
-    StatePair,
-    projector,
-    symmetric_pair,
-    tensor,
-)
-from .instruments import (
-    Ensemble,
-    Instrument,
-    disturbance,
-    povm,
-    success_probability,
-)
-from .choi import (
-    OMEGA,
-    choi_apply,
-    choi_functionals,
-    choi_to_kraus,
-    kraus_to_choi,
-    partial_trace_first,
-    partial_trace_second,
-    symmetrize,
-)
-from .tradeoff import (
-    TradeoffPoint,
-    helstrom_min_disturbance,
-    helstrom_probability,
-    no_feedback_instrument,
-    normalized,
-    optimal_instrument,
-    optimal_tilt,
-    tilt_disturbance,
-    tilt_t,
-    tradeoff_identity_residual,
-    tradeoff_point,
-)
-from .oracle import (
-    OracleConfig,
-    OracleResult,
-    VerificationReport,
-    constraint_residuals,
-    maximize,
-    sigma_objective,
-    verify_closed_form,
-)
-from .simulate import (
-    RNG_ALGORITHM,
-    SimulationConfig,
-    SimulationResult,
-    run,
-)
+_EXPORTS = {
+    "qubit": ("ID2", "SIGMA_X", "SIGMA_XX", "SIGMA_Z", "StatePair", "projector",
+              "symmetric_pair", "tensor"),
+    "instruments": ("Ensemble", "Instrument", "disturbance", "povm", "success_probability"),
+    "choi": ("OMEGA", "choi_apply", "choi_functionals", "choi_to_kraus", "kraus_to_choi",
+             "partial_trace_first", "partial_trace_second", "symmetrize"),
+    "tradeoff": ("TradeoffPoint", "helstrom_min_disturbance", "helstrom_probability",
+                 "no_feedback_instrument", "normalized", "optimal_instrument", "optimal_tilt",
+                 "tilt_disturbance", "tilt_t", "tradeoff_identity_residual", "tradeoff_point"),
+    "oracle": ("OracleConfig", "OracleResult", "VerificationReport", "constraint_residuals",
+               "maximize", "sigma_objective", "verify_closed_form"),
+    "simulate": ("RNG_ALGORITHM", "SimulationConfig", "SimulationResult", "run"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "__version__",
-    "ID2", "SIGMA_X", "SIGMA_XX", "SIGMA_Z", "StatePair", "projector", "symmetric_pair", "tensor",
-    "Ensemble", "Instrument", "disturbance", "povm", "success_probability",
-    "OMEGA", "choi_apply", "choi_functionals", "choi_to_kraus", "kraus_to_choi",
-    "partial_trace_first", "partial_trace_second", "symmetrize",
-    "TradeoffPoint", "helstrom_min_disturbance", "helstrom_probability", "no_feedback_instrument",
-    "normalized", "optimal_instrument", "optimal_tilt", "tilt_disturbance", "tilt_t",
-    "tradeoff_identity_residual", "tradeoff_point",
-    "OracleConfig", "OracleResult", "VerificationReport", "constraint_residuals", "maximize",
-    "sigma_objective", "verify_closed_form",
-    "RNG_ALGORITHM", "SimulationConfig", "SimulationResult", "run",
-]
+__all__ = ["__version__", *_MODULE_OF]
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))
+
+
+def _rng_algorithm() -> str:
+    """The simulator's RNG identifier, pinned with numpy's version (simulate.RNG_ALGORITHM).
+
+    The version is numpy's own once numpy is loaded, and otherwise its installed
+    metadata, so that output that names the RNG does not import numpy for it.
+    """
+    numpy = sys.modules.get("numpy")
+    if numpy is not None:
+        version = numpy.__version__
+    else:
+        from importlib.metadata import version as installed_version
+
+        version = installed_version("numpy")
+    return f"numpy.random.Generator(PCG64) numpy=={version}"

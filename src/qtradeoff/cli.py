@@ -3,7 +3,8 @@
 Emits CSV or JSON for plotting and CI. Exit codes: 0 success, 1 verification
 failure, 2 usage error. Each cmd_* maps parsed arguments to (text, exit code);
 the library validates the domain, and one runner per subcommand reports its
-ValueError as a usage error and writes the text to stdout or --out.
+ValueError as a usage error and writes the text to stdout or --out. Only
+verify and simulate import numpy, inside their commands.
 """
 from __future__ import annotations
 
@@ -12,22 +13,23 @@ import json
 import math
 import sys
 
-import numpy as np
-
-from . import __version__
-from .instruments import povm
-from .oracle import verify_closed_form
-from .qubit import symmetric_pair
-from .simulate import RNG_ALGORITHM, SimulationConfig, run
+from . import __version__, _rng_algorithm
 from .tradeoff import (
     TradeoffPoint,
     helstrom_min_disturbance,
+    kraus_entries,
     optimal_instrument,
     tradeoff_identity_residual,
     tradeoff_point,
 )
 
 CURVE_COLUMNS = ("alpha", "t", "P", "D", "beta_t", "info", "dist", "identity_residual")
+# Largest --points accepted, so that the worst accepted call ends in under
+# about 30 s and 1 GiB. On a 2-core VM, curve --format json at the cap took
+# 3.6 s and 0.6 GiB (the text is built whole, so memory sets this cap), and
+# verify at the cap 28 s and 0.5 GiB.
+MAX_CURVE_POINTS = 250_000
+MAX_VERIFY_POINTS = 200_000
 
 
 def _fmt(x) -> str:
@@ -35,13 +37,34 @@ def _fmt(x) -> str:
     return "" if x is None else f"{float(x):.10g}"
 
 
-def _matrix_json(m: np.ndarray) -> list:
-    return [[[float(e.real), float(e.imag)] for e in row] for row in np.asarray(m, dtype=complex)]
+def _matrix_json(m) -> list:
+    """A real matrix as rows of [re, im] pairs."""
+    return [[[x, 0.0] for x in row] for row in m]
+
+
+def _povm_element(e):
+    """E^T E, the POVM element of the real Kraus operator E (instruments.povm)."""
+    (e00, e01), (e10, e11) = e
+    off = e00 * e01 + e10 * e11
+    return ((e00 * e00 + e10 * e10, off), (off, e01 * e01 + e11 * e11))
+
+
+def _t_grid(n: int) -> list[float]:
+    """n >= 2 uniform samples of [0, 1], the last exactly 1, as np.linspace(0, 1, n)."""
+    step = 1.0 / (n - 1)
+    return [i * step for i in range(n - 1)] + [1.0]
+
+
+def _check_points(points: int, low: int, high: int) -> None:
+    if points < low:
+        raise ValueError(f"--points must be >= {low}")
+    if points > high:
+        raise ValueError(f"--points must be <= {high}")
 
 
 def _json(**fields) -> str:
     """JSON text of fields after the metadata triple, keys in the order given."""
-    payload = {"library": "qtradeoff", "version": __version__, "rng": RNG_ALGORITHM, **fields}
+    payload = {"library": "qtradeoff", "version": __version__, "rng": _rng_algorithm(), **fields}
     return json.dumps(payload, indent=2) + "\n"
 
 
@@ -86,14 +109,13 @@ def _normalized_or_none(alpha: float, pt: TradeoffPoint):
 
 def cmd_curve(args) -> tuple[str, int]:
     alpha = _resolve_alpha(args)
-    if args.points < 2:
-        raise ValueError("--points must be >= 2")
+    _check_points(args.points, 2, MAX_CURVE_POINTS)
     if _is_degenerate(alpha):
         print("warning: normalization is undefined at alpha in {0, pi/4}; "
               "info/dist/identity_residual columns are left blank", file=sys.stderr)
     rows = []
-    for t in np.linspace(0.0, 1.0, args.points):
-        pt = tradeoff_point(alpha, float(t))
+    for t in _t_grid(args.points):
+        pt = tradeoff_point(alpha, t)
         info, dist, resid = _normalized_or_none(alpha, pt)
         rows.append((pt.alpha, pt.t, pt.P, pt.D, pt.beta_t, info, dist, resid))
     if args.format == "json":
@@ -107,7 +129,7 @@ def cmd_point(args) -> tuple[str, int]:
     alpha = _resolve_alpha(args)
     pt = tradeoff_point(alpha, args.t)
     info, dist, resid = _normalized_or_none(alpha, pt)
-    inst = optimal_instrument(alpha, args.t)
+    kraus = kraus_entries(pt.t, pt.beta_t)
     return _json(
         alpha=pt.alpha,
         t=pt.t,
@@ -118,21 +140,26 @@ def cmd_point(args) -> tuple[str, int]:
         info=info,
         dist=dist,
         identity_residual=resid,
-        kraus=[_matrix_json(ops[0]) for ops in inst.outcomes],
-        povm=[_matrix_json(el) for el in povm(inst)],
+        kraus=[_matrix_json(e) for e in kraus],
+        povm=[_matrix_json(_povm_element(e)) for e in kraus],
     ), 0
 
 
 def cmd_verify(args) -> tuple[str, int]:
+    from .oracle import verify_closed_form
+    from .qubit import symmetric_pair
+
     alpha = _resolve_alpha(args)
-    if args.points < 1:
-        raise ValueError("--points must be >= 1")
-    t_grid = [1.0] if args.points == 1 else np.linspace(0.0, 1.0, args.points)
+    _check_points(args.points, 1, MAX_VERIFY_POINTS)
+    t_grid = [1.0] if args.points == 1 else _t_grid(args.points)
     report = verify_closed_form(symmetric_pair(alpha), t_grid, tol=args.tol)
     return _json(**report.as_dict()), 0 if report.all_passed else 1
 
 
 def cmd_simulate(args) -> tuple[str, int]:
+    from .qubit import symmetric_pair
+    from .simulate import SimulationConfig, run
+
     alpha = _resolve_alpha(args)
     cfg = SimulationConfig(shots=args.shots, seed=args.seed)
     pt = tradeoff_point(alpha, args.t)
@@ -200,12 +227,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=runner)
 
     command("curve", cmd_curve, "emit the optimal tradeoff curve",
-            ("--points", dict(type=int, default=101, help="number of samples (default 101)")),
+            ("--points", dict(type=int, default=101,
+                              help=f"number of samples, 2 to {MAX_CURVE_POINTS} (default 101)")),
             ("--format", dict(choices=("csv", "json"), default="csv")))
     command("point", cmd_point, "one tradeoff point with Kraus operators and POVM",
             ("--t", dict(type=float, required=True, help="control parameter in [0, 1]")))
     command("verify", cmd_verify, "compare the optimization oracle with the closed form",
-            ("--points", dict(type=int, default=5, help="uniform t grid size on [0, 1] (default 5)")),
+            ("--points", dict(type=int, default=5,
+                              help=f"uniform t grid size on [0, 1], 1 to {MAX_VERIFY_POINTS} (default 5)")),
             ("--tol", dict(type=float, default=1e-4,
                            help="pass threshold on |D_oracle - D_closed| (default 1e-4)")))
     command("simulate", cmd_simulate, "Monte Carlo run of the optimal instrument",

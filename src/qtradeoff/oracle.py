@@ -47,8 +47,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .choi import OMEGA
-from .qubit import ID2, SIGMA_X, SIGMA_Z, StatePair, check_t, is_hermitian, projector, tensor
-from .tradeoff import tradeoff_point
+from .qubit import ID2, SIGMA_X, SIGMA_Z, StatePair, is_hermitian, projector, tensor
+from .tradeoff import check_t, tradeoff_point
 
 FEASIBILITY_ATOL = 1e-6
 SUPEROPTIMALITY_TOL = 1e-5

@@ -9,6 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .tradeoff import check_alpha
+
 # Library-wide tolerance for direct algebraic identities.
 ATOL_ALGEBRAIC = 1e-12
 # Entrywise tolerance of is_hermitian.
@@ -67,22 +69,6 @@ class StatePair:
             raise ValueError("overlap does not match sin(2 alpha)")
         self.psi1.setflags(write=False)
         self.psi2.setflags(write=False)
-
-
-def check_alpha(alpha: float) -> float:
-    """The half-angle as a float; raises ValueError outside [0, pi/4] (NaN included)."""
-    alpha = float(alpha)
-    if not 0.0 <= alpha <= np.pi / 4:
-        raise ValueError(f"alpha must lie in [0, pi/4], got {alpha!r}")
-    return alpha
-
-
-def check_t(t: float) -> float:
-    """The control parameter as a float; raises ValueError outside [0, 1] (NaN included)."""
-    t = float(t)
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"t must lie in [0, 1], got {t!r}")
-    return t
 
 
 def symmetric_pair(alpha: float) -> StatePair:

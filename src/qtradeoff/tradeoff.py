@@ -9,40 +9,59 @@ disturbing feedback.
 On the optimal curve D_t = (1 - sqrt(1 - s^2))/2 with s = (sin 4a / 2)(1 -
 sqrt(1 - t^2)). Both differences 1 - sqrt(1 - x^2) are evaluated as
 x^2 / (1 + sqrt(1 - x^2)), which does not cancel as x -> 0.
+
+The module uses the standard library's math only, so that the CLI's curve and
+point commands run without importing numpy. The instrument builders import
+Instrument, and with it numpy, when they are called.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-import numpy as np
+# A real 2x2 matrix as rows: ((m00, m01), (m10, m11)).
+_Matrix = tuple[tuple[float, float], tuple[float, float]]
 
-from .instruments import Instrument
-from .qubit import ID2, SIGMA_Z, check_alpha, check_t
+
+def check_alpha(alpha: float) -> float:
+    """The half-angle as a float; raises ValueError outside [0, pi/4] (NaN included)."""
+    alpha = float(alpha)
+    if not 0.0 <= alpha <= math.pi / 4:
+        raise ValueError(f"alpha must lie in [0, pi/4], got {alpha!r}")
+    return alpha
+
+
+def check_t(t: float) -> float:
+    """The control parameter as a float; raises ValueError outside [0, 1] (NaN included)."""
+    t = float(t)
+    if not 0.0 <= t <= 1.0:
+        raise ValueError(f"t must lie in [0, 1], got {t!r}")
+    return t
 
 
 def _gamma(t: float) -> float:
     """sqrt(1 - t^2), with 1 - t^2 factored so that it stays accurate as t -> 1."""
-    return float(np.sqrt((1.0 - t) * (1.0 + t)))
+    return math.sqrt((1.0 - t) * (1.0 + t))
 
 
 def _curve_disturbance(s: float) -> float:
     """The root (1 - sqrt(1 - s^2))/2 of D (1 - D) = s^2/4, for s in [0, 1/2]."""
-    return float(s * s / (2.0 * (1.0 + np.sqrt(1.0 - s * s))))
+    return s * s / (2.0 * (1.0 + math.sqrt(1.0 - s * s)))
 
 
 def helstrom_probability(alpha: float) -> float:
     """Maximum achievable success probability cos^2 a."""
-    return float(np.cos(check_alpha(alpha)) ** 2)
+    return math.cos(check_alpha(alpha)) ** 2
 
 
 def optimal_tilt(alpha: float) -> float:
     """Feedback tilt minimizing the disturbance of the minimum-error measurement.
 
     Solves tan 2b = tan 2a / cos 2a on the branch 2b in [0, pi/2]; b >= a. At
-    a = pi/4 both sides are infinite and arctan2 returns the limit b = pi/4.
+    a = pi/4 both sides are infinite and atan2 returns the limit b = pi/4.
     """
     alpha = check_alpha(alpha)
-    return float(0.5 * np.arctan2(np.tan(2.0 * alpha), np.cos(2.0 * alpha)))
+    return 0.5 * math.atan2(math.tan(2.0 * alpha), math.cos(2.0 * alpha))
 
 
 def tilt_disturbance(alpha: float, beta: float) -> float:
@@ -54,8 +73,8 @@ def tilt_disturbance(alpha: float, beta: float) -> float:
     """
     alpha = check_alpha(alpha)
     beta = float(beta)
-    return float(np.cos(alpha) ** 2 * np.sin(beta - alpha) ** 2
-                 + np.sin(alpha) ** 2 * np.cos(alpha + beta) ** 2)
+    return (math.cos(alpha) ** 2 * math.sin(beta - alpha) ** 2
+            + math.sin(alpha) ** 2 * math.cos(alpha + beta) ** 2)
 
 
 def helstrom_min_disturbance(alpha: float) -> float:
@@ -64,7 +83,7 @@ def helstrom_min_disturbance(alpha: float) -> float:
     The curve's D_t at t = 1, i.e. at s = sin 4a / 2, which does not cancel as
     a -> 0 or pi/4 as the difference form does.
     """
-    return _curve_disturbance(np.sin(4.0 * check_alpha(alpha)) / 2.0)
+    return _curve_disturbance(math.sin(4.0 * check_alpha(alpha)) / 2.0)
 
 
 def tilt_t(alpha: float, t: float) -> float:
@@ -72,26 +91,29 @@ def tilt_t(alpha: float, t: float) -> float:
 
     tan 2b_t = t sin 2a / (cos^2 2a + g sin^2 2a) with g = sqrt(1 - t^2), on the
     branch 2b_t in [0, pi/2]. At t = 1 this reduces to optimal_tilt; at the
-    corner a = pi/4, t = 1 the denominator vanishes and arctan2 returns pi/4.
+    corner a = pi/4, t = 1 the denominator vanishes and atan2 returns pi/4.
     """
     alpha = check_alpha(alpha)
     t = check_t(t)
-    num = t * np.sin(2.0 * alpha)
-    den = np.cos(2.0 * alpha) ** 2 + _gamma(t) * np.sin(2.0 * alpha) ** 2
-    return float(0.5 * np.arctan2(num, den))
+    num = t * math.sin(2.0 * alpha)
+    den = math.cos(2.0 * alpha) ** 2 + _gamma(t) * math.sin(2.0 * alpha) ** 2
+    return 0.5 * math.atan2(num, den)
 
 
-def _feedback_unitary(beta: float) -> np.ndarray:
-    """Rotation by beta taking |1> toward |2>: columns (cos b, sin b), (-sin b, cos b)."""
-    c, s = np.cos(beta), np.sin(beta)
-    return np.array([[c, -s], [s, c]], dtype=complex)
+def kraus_entries(t: float, beta: float) -> tuple[_Matrix, _Matrix]:
+    """Real Kraus operators (E_1, E_2) = (U M_1, U^T M_2) of the two outcomes.
 
-
-def _measurement_kraus(t: float) -> tuple[np.ndarray, np.ndarray]:
+    M_1 = sqrt(1-g)/2 sz + sqrt(1+g)/2 1 and M_2 = -sqrt(1-g)/2 sz + sqrt(1+g)/2 1
+    with g = sqrt(1 - t^2), and U the rotation by beta taking |1> toward |2>,
+    columns (cos b, sin b) and (-sin b, cos b). t is taken as valid.
+    """
     # sqrt(1 - g) = t / sqrt(1 + g), which does not cancel as t -> 0.
-    root = np.sqrt(1.0 + _gamma(t))
+    root = math.sqrt(1.0 + _gamma(t))
     a, b = t / (2.0 * root), root / 2.0
-    return a * SIGMA_Z + b * ID2, -a * SIGMA_Z + b * ID2
+    big, small = b + a, b - a
+    c, s = math.cos(beta), math.sin(beta)
+    return (((c * big, -s * small), (s * big, c * small)),
+            ((c * small, s * big), (-s * small, c * big)))
 
 
 def optimal_instrument(alpha: float, t: float) -> Instrument:
@@ -102,11 +124,12 @@ def optimal_instrument(alpha: float, t: float) -> Instrument:
     tilt of tilt_t. t = 0 gives the identity channel with a uniformly random
     outcome, t = 1 the measure-and-prepare minimum-error instrument.
     """
+    from .instruments import Instrument
+
     alpha = check_alpha(alpha)
     t = check_t(t)
-    m1, m2 = _measurement_kraus(t)
-    u = _feedback_unitary(tilt_t(alpha, t))
-    return Instrument(outcomes=((u @ m1,), (u.conj().T @ m2,)))
+    e1, e2 = kraus_entries(t, tilt_t(alpha, t))
+    return Instrument(outcomes=((e1,), (e2,)))
 
 
 def no_feedback_instrument(alpha: float, t: float) -> Instrument:
@@ -115,10 +138,11 @@ def no_feedback_instrument(alpha: float, t: float) -> Instrument:
     Shares the POVM (hence the success probability) of optimal_instrument but
     disturbs strictly more for 0 < a < pi/4 and t > 0.
     """
-    alpha = check_alpha(alpha)
-    t = check_t(t)
-    m1, m2 = _measurement_kraus(t)
-    return Instrument(outcomes=((m1,), (m2,)))
+    from .instruments import Instrument
+
+    check_alpha(alpha)
+    e1, e2 = kraus_entries(check_t(t), 0.0)
+    return Instrument(outcomes=((e1,), (e2,)))
 
 
 @dataclass(frozen=True)
@@ -146,8 +170,8 @@ def tradeoff_point(alpha: float, t: float) -> TradeoffPoint:
     alpha = check_alpha(alpha)
     t = check_t(t)
     gamma = _gamma(t)
-    p = float(t * np.cos(alpha) ** 2 + (1.0 - t) / 2.0)
-    d = _curve_disturbance(np.sin(4.0 * alpha) * t * t / (2.0 * (1.0 + gamma)))
+    p = t * math.cos(alpha) ** 2 + (1.0 - t) / 2.0
+    d = _curve_disturbance(math.sin(4.0 * alpha) * t * t / (2.0 * (1.0 + gamma)))
     return TradeoffPoint(alpha=alpha, t=t, P=p, D=d, beta_t=tilt_t(alpha, t), gamma=gamma)
 
 
@@ -157,7 +181,7 @@ def normalized(alpha: float, p: float, d: float) -> NormalizedPoint:
     Undefined (0/0) at a = 0 and a = pi/4; those raise.
     """
     alpha = check_alpha(alpha)
-    if alpha == 0.0 or alpha == np.pi / 4:
+    if alpha == 0.0 or alpha == math.pi / 4:
         raise ValueError("normalization is undefined at alpha in {0, pi/4}")
     p_opt = helstrom_probability(alpha)
     d_opt = helstrom_min_disturbance(alpha)
@@ -171,7 +195,7 @@ def tradeoff_identity_residual(alpha: float, info: float, dist: float) -> float:
     zero on the optimal curve and strictly positive for suboptimal instruments.
     """
     alpha = check_alpha(alpha)
-    if alpha == 0.0 or alpha == np.pi / 4:
+    if alpha == 0.0 or alpha == math.pi / 4:
         raise ValueError("identity residual requires 0 < alpha < pi/4")
     # Ratios computed from the curve itself can overshoot the ends by round-off.
     def _unit_interval(x, name):
@@ -183,6 +207,6 @@ def tradeoff_identity_residual(alpha: float, info: float, dist: float) -> float:
     info = _unit_interval(info, "info")
     dist = _unit_interval(dist, "dist")
     d = helstrom_min_disturbance(alpha) * dist
-    lhs = np.sqrt(d * (1.0 - d))
-    rhs = (np.sin(4.0 * alpha) / 4.0) * info * info / (1.0 + _gamma(info))
-    return float(lhs - rhs)
+    lhs = math.sqrt(d * (1.0 - d))
+    rhs = (math.sin(4.0 * alpha) / 4.0) * info * info / (1.0 + _gamma(info))
+    return lhs - rhs

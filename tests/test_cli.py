@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import qtradeoff
-from qtradeoff.cli import main
+from qtradeoff.cli import MAX_CURVE_POINTS, MAX_VERIFY_POINTS, main
 
 from conftest import shift_closed_form
 
@@ -300,8 +300,8 @@ class TestUsageErrors:
         assert exc.value.code == 2
         assert capsys.readouterr().err.startswith("usage: qtradeoff simulate")
 
-    # The library's own checks (here tradeoff_point's range of t, and numpy's
-    # array size limit) are usage errors of the subcommand, and nothing is written.
+    # The library's own checks (here tradeoff_point's range of t) and the CLI's
+    # --points cap are usage errors of the subcommand, and nothing is written.
     @pytest.mark.parametrize("argv", [
         ["point", "--fsq", "0.5", "--t", "1.5"],
         ["curve", "--fsq", "0.5", "--points", str(10**20)],
@@ -317,13 +317,27 @@ class TestUsageErrors:
         assert f"qtradeoff {argv[0]}: error: " in captured.err
         assert not target.exists()
 
-    # np.linspace is the CLI's own call, so only the CLI can name the flag.
+    # The t grid is the CLI's own, so only the CLI can name the flag.
     @pytest.mark.parametrize("points", ["0", "-3"])
     def test_verify_grid_size_names_the_flag(self, points, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--fsq", "0.5", "--points", points])
         assert exc.value.code == 2
         assert "qtradeoff verify: error: --points must be >= 1" in capsys.readouterr().err
+
+    # The caps keep the worst accepted call near 30 s and under 1 GiB; cap + 1
+    # is refused before any work, and --help states the cap.
+    @pytest.mark.parametrize("command, cap", [("curve", MAX_CURVE_POINTS),
+                                              ("verify", MAX_VERIFY_POINTS)])
+    def test_points_above_the_cap(self, command, cap, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--fsq", "0.5", "--points", str(cap + 1)])
+        assert exc.value.code == 2
+        assert f"qtradeoff {command}: error: --points must be <= {cap}" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert f"to {cap} (default" in " ".join(capsys.readouterr().out.split())
 
     # A library message that begins with an option's dest names the flag, in
     # argparse's own "argument --flag:" form.
@@ -363,6 +377,38 @@ class TestUsageErrors:
             capture_output=True, text=True, env=_child_env())
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["P"] == pytest.approx(0.6767766952966369, abs=1e-12)
+
+
+# curve and point need only the closed forms; their JSON still names numpy's
+# version in "rng", read without importing numpy, and it must be the
+# simulator's own RNG_ALGORITHM.
+_NUMPY_FREE_SCRIPT = """
+import contextlib, io, json, sys
+import qtradeoff
+from qtradeoff.cli import main
+loaded, rngs = {"import": "numpy" in sys.modules}, []
+for argv in (["curve", "--fsq", "0.5", "--points", "5"],
+             ["curve", "--fsq", "0.5", "--points", "5", "--format", "json"],
+             ["point", "--fsq", "0.5", "--t", "0.5"]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    loaded[" ".join(argv)] = "numpy" in sys.modules
+    if out.getvalue().startswith("{"):
+        rngs.append(json.loads(out.getvalue())["rng"])
+print(json.dumps({"loaded": loaded, "rngs": rngs}))
+"""
+
+
+def test_closed_form_commands_do_not_load_numpy():
+    from qtradeoff.simulate import RNG_ALGORITHM
+
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_FREE_SCRIPT],
+                          capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert len(report["loaded"]) == 4 and not any(report["loaded"].values()), report["loaded"]
+    assert report["rngs"] == [RNG_ALGORITHM, RNG_ALGORITHM]
 
 
 def test_import_does_not_load_scipy():

@@ -1,5 +1,6 @@
-"""Property tests over the (alpha, t) domain: the Kraus- and Choi-level functionals, and the oracle's certificate."""
+"""Property tests over the (alpha, t) domain: the closed forms, the Kraus- and Choi-level functionals, and the oracle's certificate."""
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -8,10 +9,14 @@ from qtradeoff import (
     Ensemble,
     choi_functionals,
     disturbance,
+    helstrom_min_disturbance,
+    helstrom_probability,
     kraus_to_choi,
     maximize,
     optimal_instrument,
+    optimal_tilt,
     symmetric_pair,
+    tilt_t,
     tradeoff_point,
 )
 
@@ -19,9 +24,56 @@ from conftest import curve_disturbance_reference
 
 mpmath = pytest.importorskip("mpmath")
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 EPS = float(np.finfo(float).eps)
+
+
+def _closed_form_references(alpha, t):
+    """Each closed form at 60 digits, from the exact binary values of alpha and t."""
+    with mpmath.workdps(60):
+        a, tm = mpmath.mpf(alpha), mpmath.mpf(t)
+        gamma = mpmath.sqrt((1 - tm) * (1 + tm))
+        s2, c2 = mpmath.sin(2 * a), mpmath.cos(2 * a)
+        beta_t = mpmath.atan2(tm * s2, c2 ** 2 + gamma * s2 ** 2) / 2
+        return {
+            "P": tm * mpmath.cos(a) ** 2 + (1 - tm) / 2,
+            "D": curve_disturbance_reference(mpmath, alpha, t),
+            "beta_t": beta_t,
+            "gamma": gamma,
+            "helstrom_probability": mpmath.cos(a) ** 2,
+            "helstrom_min_disturbance": curve_disturbance_reference(mpmath, alpha, 1.0),
+            # tan 2b = tan 2a / cos 2a, with both sides multiplied by cos 2a >= 0.
+            "optimal_tilt": mpmath.atan2(s2, c2 ** 2) / 2,
+            "tilt_t": beta_t,
+        }
+
+
+# Relative error against 60-digit mpmath over the whole domain, edges
+# included. References below the smallest normal double are skipped: there D
+# underflows, to 0 at a = t = 1e-300.
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(alpha=st.floats(0.0, math.pi / 4), t=st.floats(0.0, 1.0))
+@example(alpha=0.0, t=0.0)
+@example(alpha=math.pi / 4, t=1.0)
+@example(alpha=math.pi / 4 - 1e-15, t=math.nextafter(1.0, 0.0))
+@example(alpha=math.nextafter(math.pi / 4, 0.0), t=1.0)
+@example(alpha=1e-300, t=1e-300)
+@example(alpha=1e-8, t=1e-8)
+def test_closed_forms_against_mpmath(alpha, t):
+    pt = tradeoff_point(alpha, t)
+    values = {
+        "P": pt.P, "D": pt.D, "beta_t": pt.beta_t, "gamma": pt.gamma,
+        "helstrom_probability": helstrom_probability(alpha),
+        "helstrom_min_disturbance": helstrom_min_disturbance(alpha),
+        "optimal_tilt": optimal_tilt(alpha),
+        "tilt_t": tilt_t(alpha, t),
+    }
+    for name, reference in _closed_form_references(alpha, t).items():
+        if reference == 0:
+            assert values[name] == 0.0, name
+        elif reference >= sys.float_info.min:
+            assert abs((mpmath.mpf(values[name]) - reference) / reference) <= 1e-14, name
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
