@@ -4,7 +4,6 @@ The exports below are resolved on first use (PEP 562), so that importing the
 package, or running the CLI's closed-form commands, does not import numpy.
 """
 import importlib
-import sys
 
 __version__ = "0.1.0"
 
@@ -38,18 +37,3 @@ def __getattr__(name: str):
 def __dir__() -> list[str]:
     return sorted(set(globals()) | set(__all__))
 
-
-def _rng_algorithm() -> str:
-    """The simulator's RNG identifier, pinned with numpy's version (simulate.RNG_ALGORITHM).
-
-    The version is numpy's own once numpy is loaded, and otherwise its installed
-    metadata, so that output that names the RNG does not import numpy for it.
-    """
-    numpy = sys.modules.get("numpy")
-    if numpy is not None:
-        version = numpy.__version__
-    else:
-        from importlib.metadata import version as installed_version
-
-        version = installed_version("numpy")
-    return f"numpy.random.Generator(PCG64) numpy=={version}"

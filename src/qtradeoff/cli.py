@@ -13,10 +13,10 @@ import json
 import math
 import sys
 
-from . import __version__, _rng_algorithm
+from . import __version__
 from .tradeoff import (
     TradeoffPoint,
-    helstrom_min_disturbance,
+    curve_dist,
     kraus_entries,
     optimal_instrument,
     tradeoff_identity_residual,
@@ -63,8 +63,8 @@ def _check_points(points: int, low: int, high: int) -> None:
 
 
 def _json(**fields) -> str:
-    """JSON text of fields after the metadata triple, keys in the order given."""
-    payload = {"library": "qtradeoff", "version": __version__, "rng": _rng_algorithm(), **fields}
+    """JSON text of library and version, then fields, keys in the order given."""
+    payload = {"library": "qtradeoff", "version": __version__, **fields}
     return json.dumps(payload, indent=2) + "\n"
 
 
@@ -103,7 +103,7 @@ def _normalized_or_none(alpha: float, pt: TradeoffPoint):
     # On the curve info = t exactly; (P - 1/2)/(P_opt - 1/2) cancels as a -> pi/4.
     if _is_degenerate(alpha):
         return None, None, None
-    dist = pt.D / helstrom_min_disturbance(alpha)
+    dist = curve_dist(alpha, pt.t)
     return pt.t, dist, tradeoff_identity_residual(alpha, pt.t, dist)
 
 
@@ -158,7 +158,7 @@ def cmd_verify(args) -> tuple[str, int]:
 
 def cmd_simulate(args) -> tuple[str, int]:
     from .qubit import symmetric_pair
-    from .simulate import SimulationConfig, run
+    from .simulate import RNG_ALGORITHM, SimulationConfig, run
 
     alpha = _resolve_alpha(args)
     cfg = SimulationConfig(shots=args.shots, seed=args.seed)
@@ -175,6 +175,7 @@ def cmd_simulate(args) -> tuple[str, int]:
     eps = sys.float_info.epsilon
     rounding_D = 2.0 * eps * (math.sqrt(pt.D) + eps)
     return _json(
+        rng=RNG_ALGORITHM,
         alpha=alpha,
         t=args.t,
         shots=result.shots,

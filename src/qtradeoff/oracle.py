@@ -236,8 +236,8 @@ def verify_closed_form(pair: StatePair, t_grid, tol: float = 1e-4) -> Verificati
     """Run the oracle over a t grid and compare with the closed-form curve.
 
     A point passes when |D_oracle - D_t| <= tol. The report also certifies that
-    the oracle never lands below the closed form by more than the solver
-    witness tolerance (the closed form is a true lower bound on disturbance).
+    the oracle never lands below the closed form by more than
+    SUPEROPTIMALITY_TOL (the closed form is a true lower bound on disturbance).
     """
     t_grid = [float(t) for t in t_grid]
     if not t_grid:

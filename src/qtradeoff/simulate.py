@@ -13,12 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _rng_algorithm
 from .instruments import Ensemble, Instrument, cell_tables
 from .qubit import StatePair
 
-# Pinned in output metadata so results can be reproduced across platforms.
-RNG_ALGORITHM = _rng_algorithm()
+# Named in simulate's JSON output so that runs can be reproduced across platforms.
+RNG_ALGORITHM = f"numpy.random.Generator(PCG64) numpy=={np.__version__}"
 
 MAX_SHOTS = 2 ** 63 - 1  # the largest count numpy's multinomial accepts
 

@@ -175,16 +175,29 @@ def tradeoff_point(alpha: float, t: float) -> TradeoffPoint:
     return TradeoffPoint(alpha=alpha, t=t, P=p, D=d, beta_t=tilt_t(alpha, t), gamma=gamma)
 
 
+def curve_dist(alpha: float, t: float) -> float:
+    """dist = D_t / D_opt on the optimal curve, for valid alpha and t.
+
+    r^2 (1 + sqrt(1 - s^2)) / (1 + sqrt(1 - r^2 s^2)) with r = t^2/(1 + g) and
+    s = sin 4a / 2 never divides by D_opt, which underflows below a ~ 1e-162.
+    """
+    r = t * t / (1.0 + _gamma(t))
+    s = math.sin(4.0 * alpha) / 2.0
+    return r * r * (1.0 + math.sqrt(1.0 - s * s)) / (1.0 + math.sqrt(1.0 - (r * s) ** 2))
+
+
 def normalized(alpha: float, p: float, d: float) -> NormalizedPoint:
     """Rescale (P, D) by the t = 1 optimum: info = (P - 1/2)/(P_opt - 1/2), dist = D/D_opt.
 
-    Undefined (0/0) at a = 0 and a = pi/4; those raise.
+    Undefined (0/0) at a = 0 and a = pi/4, and where D_opt underflows to 0
+    (a below about 1e-162); those raise.
     """
     alpha = check_alpha(alpha)
-    if alpha == 0.0 or alpha == math.pi / 4:
-        raise ValueError("normalization is undefined at alpha in {0, pi/4}")
-    p_opt = helstrom_probability(alpha)
     d_opt = helstrom_min_disturbance(alpha)
+    if d_opt == 0.0 or alpha == math.pi / 4:
+        raise ValueError(f"normalization is undefined at alpha {alpha!r}: "
+                         "alpha in {0, pi/4}, or D_opt underflows to 0")
+    p_opt = helstrom_probability(alpha)
     return NormalizedPoint(info=float((p - 0.5) / (p_opt - 0.5)), dist=float(d / d_opt))
 
 

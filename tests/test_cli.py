@@ -59,8 +59,17 @@ class TestCurve:
         assert last[5] == ""
 
     def test_tiny_alpha(self, capsys):
-        code, _, _ = run_cli(capsys, ["curve", "--alpha", "1e-8", "--points", "3"])
-        assert code == 0
+        # Below alpha of about 1e-162 D_opt underflows to 0; dist does not divide by it.
+        for argv in (["curve", "--alpha", "1e-8", "--points", "3"],
+                     ["curve", "--alpha", "1e-170", "--points", "3"],
+                     ["point", "--fsq", "5e-324", "--t", "0.3"]):
+            code, out, _ = run_cli(capsys, argv)
+            assert code == 0, argv
+            if argv[0] == "curve":
+                dists = [float(row.split(",")[6]) for row in out.strip().split("\n")[1:]]
+            else:
+                dists = [json.loads(out)["dist"]]
+            assert all(math.isfinite(d) for d in dists), (argv, dists)
 
     def test_near_degenerate_alpha_ends_at_full_disturbance(self, capsys):
         code, out, _ = run_cli(capsys, ["curve", "--alpha", "0.78539815", "--points", "3",
@@ -78,7 +87,7 @@ class TestCurve:
     def test_json_key_order(self, capsys):
         _, out, _ = run_cli(capsys, ["curve", "--fsq", "0.5", "--points", "2", "--format", "json"])
         payload = json.loads(out)
-        assert list(payload) == ["library", "version", "rng", "alpha", "points"]
+        assert list(payload) == ["library", "version", "alpha", "points"]
         assert list(payload["points"][0]) == ["alpha", "t", "P", "D", "beta_t", "info", "dist",
                                               "identity_residual"]
 
@@ -136,9 +145,9 @@ class TestPoint:
 
     def test_key_order(self, capsys):
         _, out, _ = run_cli(capsys, ["point", "--fsq", "0.5", "--t", "0.5"])
-        assert list(json.loads(out)) == ["library", "version", "rng", "alpha", "t", "P", "D",
-                                         "beta_t", "gamma", "info", "dist", "identity_residual",
-                                         "kraus", "povm"]
+        assert list(json.loads(out)) == ["library", "version", "alpha", "t", "P", "D", "beta_t",
+                                         "gamma", "info", "dist", "identity_residual", "kraus",
+                                         "povm"]
 
     def test_half_strength_povm(self, capsys):
         code, out, _ = run_cli(capsys, ["point", "--fsq", "0.5", "--t", "0.5"])
@@ -177,9 +186,8 @@ class TestVerify:
         assert code_a == code_b == 0
         assert out_a == out_b
         payload = json.loads(out_a)
-        assert list(payload) == ["library", "version", "rng", "alpha", "tolerance", "points",
-                                 "max_gap", "all_passed", "superoptimality_margin",
-                                 "no_superoptimality"]
+        assert list(payload) == ["library", "version", "alpha", "tolerance", "points", "max_gap",
+                                 "all_passed", "superoptimality_margin", "no_superoptimality"]
         assert list(payload["points"][0]) == ["t", "oracle_D", "closed_D", "gap", "max_residual",
                                               "lower_bound_D", "certified_gap", "passed"]
 
@@ -379,36 +387,34 @@ class TestUsageErrors:
         assert json.loads(proc.stdout)["P"] == pytest.approx(0.6767766952966369, abs=1e-12)
 
 
-# curve and point need only the closed forms; their JSON still names numpy's
-# version in "rng", read without importing numpy, and it must be the
-# simulator's own RNG_ALGORITHM.
+# curve and point need only the closed forms: they load neither numpy nor
+# importlib.metadata, and their JSON names no RNG, since none runs.
 _NUMPY_FREE_SCRIPT = """
 import contextlib, io, json, sys
 import qtradeoff
 from qtradeoff.cli import main
-loaded, rngs = {"import": "numpy" in sys.modules}, []
+loaded, rng_keys = {"import": ["numpy" in sys.modules, "importlib.metadata" in sys.modules]}, []
 for argv in (["curve", "--fsq", "0.5", "--points", "5"],
              ["curve", "--fsq", "0.5", "--points", "5", "--format", "json"],
              ["point", "--fsq", "0.5", "--t", "0.5"]):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert main(argv) == 0
-    loaded[" ".join(argv)] = "numpy" in sys.modules
+    loaded[" ".join(argv)] = ["numpy" in sys.modules, "importlib.metadata" in sys.modules]
     if out.getvalue().startswith("{"):
-        rngs.append(json.loads(out.getvalue())["rng"])
-print(json.dumps({"loaded": loaded, "rngs": rngs}))
+        rng_keys.append("rng" in json.loads(out.getvalue()))
+print(json.dumps({"loaded": loaded, "rng_keys": rng_keys}))
 """
 
 
 def test_closed_form_commands_do_not_load_numpy():
-    from qtradeoff.simulate import RNG_ALGORITHM
-
     proc = subprocess.run([sys.executable, "-c", _NUMPY_FREE_SCRIPT],
                           capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
-    assert len(report["loaded"]) == 4 and not any(report["loaded"].values()), report["loaded"]
-    assert report["rngs"] == [RNG_ALGORITHM, RNG_ALGORITHM]
+    assert len(report["loaded"]) == 4, report["loaded"]
+    assert not any(any(flags) for flags in report["loaded"].values()), report["loaded"]
+    assert report["rng_keys"] == [False, False]
 
 
 def test_import_does_not_load_scipy():

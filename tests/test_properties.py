@@ -19,6 +19,7 @@ from qtradeoff import (
     tilt_t,
     tradeoff_point,
 )
+from qtradeoff.tradeoff import curve_dist
 
 from conftest import curve_disturbance_reference
 
@@ -36,22 +37,26 @@ def _closed_form_references(alpha, t):
         gamma = mpmath.sqrt((1 - tm) * (1 + tm))
         s2, c2 = mpmath.sin(2 * a), mpmath.cos(2 * a)
         beta_t = mpmath.atan2(tm * s2, c2 ** 2 + gamma * s2 ** 2) / 2
+        d_t = curve_disturbance_reference(mpmath, alpha, t)
+        d_opt = curve_disturbance_reference(mpmath, alpha, 1.0)
         return {
             "P": tm * mpmath.cos(a) ** 2 + (1 - tm) / 2,
-            "D": curve_disturbance_reference(mpmath, alpha, t),
+            "D": d_t,
             "beta_t": beta_t,
             "gamma": gamma,
             "helstrom_probability": mpmath.cos(a) ** 2,
-            "helstrom_min_disturbance": curve_disturbance_reference(mpmath, alpha, 1.0),
+            "helstrom_min_disturbance": d_opt,
             # tan 2b = tan 2a / cos 2a, with both sides multiplied by cos 2a >= 0.
             "optimal_tilt": mpmath.atan2(s2, c2 ** 2) / 2,
             "tilt_t": beta_t,
+            "dist": d_t / d_opt if alpha > 0 else None,
         }
 
 
 # Relative error against 60-digit mpmath over the whole domain, edges
 # included. References below the smallest normal double are skipped: there D
-# underflows, to 0 at a = t = 1e-300.
+# underflows, to 0 at a = t = 1e-300. The curve's dist = D_t / D_opt is 0/0 at
+# a = 0, and stays accurate below a of about 1e-162, where D_opt underflows.
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(alpha=st.floats(0.0, math.pi / 4), t=st.floats(0.0, 1.0))
 @example(alpha=0.0, t=0.0)
@@ -60,6 +65,8 @@ def _closed_form_references(alpha, t):
 @example(alpha=math.nextafter(math.pi / 4, 0.0), t=1.0)
 @example(alpha=1e-300, t=1e-300)
 @example(alpha=1e-8, t=1e-8)
+@example(alpha=1e-170, t=0.5)
+@example(alpha=5e-324, t=0.3)
 def test_closed_forms_against_mpmath(alpha, t):
     pt = tradeoff_point(alpha, t)
     values = {
@@ -68,8 +75,11 @@ def test_closed_forms_against_mpmath(alpha, t):
         "helstrom_min_disturbance": helstrom_min_disturbance(alpha),
         "optimal_tilt": optimal_tilt(alpha),
         "tilt_t": tilt_t(alpha, t),
+        "dist": curve_dist(alpha, t),
     }
     for name, reference in _closed_form_references(alpha, t).items():
+        if reference is None:
+            continue
         if reference == 0:
             assert values[name] == 0.0, name
         elif reference >= sys.float_info.min:

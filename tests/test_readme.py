@@ -40,7 +40,7 @@ INTERNAL = {
     "qubit": {"ATOL_ALGEBRAIC", "HERMITIAN_ATOL", "is_hermitian", "validate_state"},
     "instruments": {"COMPLETENESS_ATOL", "cell_tables"},
     "choi": {"PSD_ATOL", "TRACE_PRESERVING_ATOL"},
-    "tradeoff": {"NormalizedPoint", "check_alpha", "check_t", "kraus_entries"},
+    "tradeoff": {"NormalizedPoint", "check_alpha", "check_t", "curve_dist", "kraus_entries"},
     "oracle": {"FEASIBILITY_ATOL", "SUPEROPTIMALITY_TOL", "VerificationPoint"},
     "simulate": {"MAX_SHOTS"},
 }

@@ -257,7 +257,8 @@ class TestNormalized:
         n0 = normalized(PI8, pt0.P, pt0.D)
         assert (n0.info, n0.dist) == (0.0, 0.0)
 
-    @pytest.mark.parametrize("alpha", [0.0, math.pi / 4])
+    # 1e-170: D_opt underflows to 0.
+    @pytest.mark.parametrize("alpha", [0.0, math.pi / 4, 1e-170])
     def test_degenerate_normalization_rejected(self, alpha):
         with pytest.raises(ValueError):
             normalized(alpha, 0.7, 0.01)
