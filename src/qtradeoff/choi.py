@@ -9,6 +9,8 @@ explicit throughout, so nothing relies on states having real components.
 """
 from __future__ import annotations
 
+from operator import add, mul
+
 import numpy as np
 
 from .qubit import ID2, SIGMA_XX, StatePair, is_hermitian, tensor
@@ -91,21 +93,29 @@ def choi_functionals(r1: np.ndarray, r2: np.ndarray, pair: StatePair) -> tuple[f
     Both traces are evaluated as quadratic forms, with c = psi_i* and
     q = psi_i^perp: Tr[(1 (x) |c><c|) R] = <c| Tr_1 R |c> and
     Tr[(|q><q| (x) |c><c|) R] = <q (x) c| R |q (x) c>.
-    Raises if R_1 + R_2 is not trace preserving within 1e-8.
+    Raises if R_1 + R_2 is not trace preserving within 1e-8. Works on plain
+    complex scalars: numpy's per-call cost dominates at this size.
     """
-    r1 = np.asarray(r1, dtype=complex)
-    r2 = np.asarray(r2, dtype=complex)
-    total = r1 + r2
-    if not np.max(np.abs(partial_trace_first(total) - ID2)) <= TRACE_PRESERVING_ATOL:
+    r1, r2 = np.asarray(r1, dtype=complex), np.asarray(r2, dtype=complex)
+    if r1.shape != (4, 4) or r2.shape != (4, 4):
+        raise ValueError(f"expected two 4x4 matrices, got shapes {r1.shape} and {r2.shape}")
+    r1, r2 = r1.ravel().tolist(), r2.ravel().tolist()
+    total = list(map(add, r1, r2))
+    # Tr_1[R][k][l] sums flat entries 4k + l and 4k + l + 10; all() fails on NaN, max() may not.
+    if not all(abs(total[i] + total[i + 10] - one) <= TRACE_PRESERVING_ATOL
+               for i, one in zip((0, 1, 4, 5), (1.0, 0.0, 0.0, 1.0))):
         raise ValueError("R1 + R2 is not trace preserving within tolerance")
-    p = 0.0
-    d = 0.0
+    p = d = 0.0
     for psi, r in zip((pair.psi1, pair.psi2), (r1, r2)):
-        c = psi.conj()
-        qc = np.outer([-c[1], c[0]], c).reshape(4)
-        p += 0.5 * float(np.vdot(c, partial_trace_first(r) @ c).real)
-        d += 0.5 * float(np.vdot(qc, total @ qc).real)
+        c = psi.conj().tolist()
+        p += 0.5 * _quadratic_form(c, [r[i] + r[i + 10] for i in (0, 1, 4, 5)])
+        d += 0.5 * _quadratic_form([x * y for x in (-c[1], c[0]) for y in c], total)
     return p, d
+
+
+def _quadratic_form(v, m) -> float:
+    """Re <v| M |v>, for M given row-major as a flat list of complex scalars."""
+    return sum(map(mul, [x.conjugate() * y for x in v for y in v], m)).real
 
 
 def choi_to_kraus(r: np.ndarray) -> list[np.ndarray]:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qubit import ID2, StatePair, validate_state
+from .qubit import StatePair, validate_state
 
 COMPLETENESS_ATOL = 1e-10
 
@@ -20,13 +20,14 @@ class Instrument:
     """Ordered outcomes, each a tuple of 2x2 Kraus operators.
 
     Completeness sum_i sum_k E_k^(i)† E_k^(i) = 1 is enforced on construction
-    (entrywise, within 1e-10).
+    (entrywise, within 1e-10). The POVM elements and Kraus entries are kept as
+    plain complex scalars, computed once: numpy's per-call cost dominates here.
     """
 
     outcomes: tuple[tuple[np.ndarray, ...], ...]
 
     def __post_init__(self):
-        clean = []
+        clean, kraus, elements = [], [], []
         for kraus_set in self.outcomes:
             ops = tuple(np.asarray(e, dtype=complex) for e in kraus_set)
             if not ops:
@@ -36,10 +37,20 @@ class Instrument:
                     raise ValueError(f"Kraus operators must be 2x2, got shape {e.shape}")
                 e.setflags(write=False)
             clean.append(ops)
-        object.__setattr__(self, "outcomes", tuple(clean))
-        total = sum(e.conj().T @ e for ops in self.outcomes for e in ops)
-        if not np.max(np.abs(total - ID2)) <= COMPLETENESS_ATOL:
+            kraus.append(tuple(e.tolist() for e in ops))
+            p00 = p01 = p11 = 0.0
+            for (e00, e01), (e10, e11) in kraus[-1]:
+                p00 += e00.conjugate() * e00 + e10.conjugate() * e10
+                p01 += e00.conjugate() * e01 + e10.conjugate() * e11
+                p11 += e01.conjugate() * e01 + e11.conjugate() * e11
+            elements.append(((p00, p01), (p01.conjugate(), p11)))
+        # all(), not max(): max() skips a NaN that is not its first argument.
+        if not all(abs(sum(pi[i][j] for pi in elements) - (i == j)) <= COMPLETENESS_ATOL
+                   for i, j in ((0, 0), (0, 1), (1, 1))):
             raise ValueError("Kraus operators do not satisfy the completeness relation")
+        object.__setattr__(self, "outcomes", tuple(clean))
+        object.__setattr__(self, "_kraus", tuple(kraus))
+        object.__setattr__(self, "_povm", tuple(elements))
 
     @property
     def n_outcomes(self) -> int:
@@ -67,6 +78,7 @@ class Ensemble:
             s.setflags(write=False)
         object.__setattr__(self, "priors", priors)
         object.__setattr__(self, "states", states)
+        object.__setattr__(self, "_states", tuple(s.tolist() for s in states))
 
     @classmethod
     def equal_pair(cls, pair: StatePair) -> "Ensemble":
@@ -75,8 +87,8 @@ class Ensemble:
 
 
 def povm(inst: Instrument) -> list[np.ndarray]:
-    """POVM elements Pi_i = sum_k E_k^(i)† E_k^(i); positive and summing to 1."""
-    return [sum(e.conj().T @ e for e in ops) for ops in inst.outcomes]
+    """POVM elements Pi_i = sum_k E_k^(i)† E_k^(i), as fresh arrays; positive and summing to 1."""
+    return [np.array(pi) for pi in inst._povm]
 
 
 def success_probability(inst: Instrument, ens: Ensemble) -> float:
@@ -86,11 +98,30 @@ def success_probability(inst: Instrument, ens: Ensemble) -> float:
     """
     if inst.n_outcomes != len(ens.states):
         raise ValueError("outcome count must match ensemble size")
-    elements = povm(inst)
     p = 0.0
-    for prior, psi, pi in zip(ens.priors, ens.states, elements):
-        p += prior * float(np.real(psi.conj() @ pi @ psi))
+    for prior, (a, b), ((p00, p01), (p10, p11)) in zip(ens.priors, ens._states, inst._povm):
+        ca, cb = a.conjugate(), b.conjugate()
+        p += prior * ((ca * p00 + cb * p10) * a + (ca * p01 + cb * p11) * b).real
     return p
+
+
+def _cells(inst: Instrument, ens: Ensemble) -> tuple[list[list[float]], list[list[float]]]:
+    """probs and leaks of cell_tables, as nested lists."""
+    if inst.n_outcomes != len(ens.states):
+        raise ValueError("outcome count must match ensemble size")
+    probs = [[0.0] * inst.n_outcomes for _ in ens._states]
+    leaks = [[0.0] * inst.n_outcomes for _ in ens._states]
+    for i, (a, b) in enumerate(ens._states):
+        for j, ops in enumerate(inst._kraus):
+            for (e00, e01), (e10, e11) in ops:
+                out0, out1 = e00 * a + e01 * b, e10 * a + e11 * b
+                # <psi^perp| E |psi> with psi^perp = (-b*, a*). Since
+                # <psi^perp|psi> = 0 only the traceless part of E enters (its
+                # off-diagonal and e00 - e11), so E = c 1 leaks exactly 0.
+                amp = e10 * a * a - e01 * b * b - (e00 - e11) * a * b
+                probs[i][j] += abs(out0) ** 2 + abs(out1) ** 2
+                leaks[i][j] += abs(amp) ** 2
+    return probs, leaks
 
 
 def cell_tables(inst: Instrument, ens: Ensemble) -> tuple[np.ndarray, np.ndarray]:
@@ -100,22 +131,8 @@ def cell_tables(inst: Instrument, ens: Ensemble) -> tuple[np.ndarray, np.ndarray
     |<psi_i^perp| E_k^(j) |psi_i>|^2, the weight outcome j moves from psi_i
     onto its orthogonal complement. Both are non-negative by construction.
     """
-    if inst.n_outcomes != len(ens.states):
-        raise ValueError("outcome count must match ensemble size")
-    probs = np.zeros((len(ens.states), inst.n_outcomes))
-    leaks = np.zeros_like(probs)
-    # Plain complex scalars: numpy's per-call cost dominates at this size.
-    for i, (a, b) in enumerate(s.tolist() for s in ens.states):
-        for j, ops in enumerate(inst.outcomes):
-            for (e00, e01), (e10, e11) in (e.tolist() for e in ops):
-                out0, out1 = e00 * a + e01 * b, e10 * a + e11 * b
-                # <psi^perp| E |psi> with psi^perp = (-b*, a*). Since
-                # <psi^perp|psi> = 0 only the traceless part of E enters (its
-                # off-diagonal and e00 - e11), so E = c 1 leaks exactly 0.
-                amp = e10 * a * a - e01 * b * b - (e00 - e11) * a * b
-                probs[i, j] += abs(out0) ** 2 + abs(out1) ** 2
-                leaks[i, j] += abs(amp) ** 2
-    return probs, leaks
+    probs, leaks = _cells(inst, ens)
+    return np.array(probs), np.array(leaks)
 
 
 def disturbance(inst: Instrument, ens: Ensemble) -> float:
@@ -127,5 +144,5 @@ def disturbance(inst: Instrument, ens: Ensemble) -> float:
     trace-preserving instrument; the two differ by the completeness error,
     at most 2e-10 within Instrument's entrywise tolerance.
     """
-    _, leaks = cell_tables(inst, ens)
-    return float(np.dot(ens.priors, leaks.sum(axis=1)))
+    _, leaks = _cells(inst, ens)
+    return sum(prior * sum(row) for prior, row in zip(ens.priors, leaks))

@@ -17,6 +17,7 @@ Instrument, and with it numpy, when they are called.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 # A real 2x2 matrix as rows: ((m00, m01), (m10, m11)).
@@ -189,14 +190,14 @@ def curve_dist(alpha: float, t: float) -> float:
 def normalized(alpha: float, p: float, d: float) -> NormalizedPoint:
     """Rescale (P, D) by the t = 1 optimum: info = (P - 1/2)/(P_opt - 1/2), dist = D/D_opt.
 
-    Undefined (0/0) at a = 0 and a = pi/4, and where D_opt underflows to 0
-    (a below about 1e-162); those raise.
+    Undefined (0/0) at a = 0 and a = pi/4, and inaccurate where D_opt is
+    subnormal (a below about 1.5e-154); those raise, while curve_dist does not.
     """
     alpha = check_alpha(alpha)
     d_opt = helstrom_min_disturbance(alpha)
-    if d_opt == 0.0 or alpha == math.pi / 4:
+    if d_opt < sys.float_info.min or alpha == math.pi / 4:
         raise ValueError(f"normalization is undefined at alpha {alpha!r}: "
-                         "alpha in {0, pi/4}, or D_opt underflows to 0")
+                         "alpha in {0, pi/4}, or D_opt is subnormal")
     p_opt = helstrom_probability(alpha)
     return NormalizedPoint(info=float((p - 0.5) / (p_opt - 0.5)), dist=float(d / d_opt))
 
@@ -219,7 +220,9 @@ def tradeoff_identity_residual(alpha: float, info: float, dist: float) -> float:
 
     info = _unit_interval(info, "info")
     dist = _unit_interval(dist, "dist")
-    d = helstrom_min_disturbance(alpha) * dist
-    lhs = math.sqrt(d * (1.0 - d))
+    s = math.sin(4.0 * alpha) / 2.0
+    d = _curve_disturbance(s) * dist
+    # sqrt(D_opt) = s / sqrt(2 (1 + sqrt(1 - s^2))); D_opt is subnormal below a ~ 1.5e-154.
+    lhs = s / math.sqrt(2.0 * (1.0 + math.sqrt(1.0 - s * s))) * math.sqrt(dist * (1.0 - d))
     rhs = (math.sin(4.0 * alpha) / 4.0) * info * info / (1.0 + _gamma(info))
     return lhs - rhs

@@ -10,10 +10,12 @@ from qtradeoff import (
     Instrument,
     StatePair,
     choi_functionals,
+    choi_to_kraus,
     disturbance,
     kraus_to_choi,
     optimal_instrument,
     optimal_tilt,
+    partial_trace_first,
     povm,
     projector,
     success_probability,
@@ -26,6 +28,7 @@ from qtradeoff.simulate import _cell_tables
 from conftest import (
     curve_disturbance_reference,
     random_instrument,
+    random_state,
     random_unitary,
 )
 
@@ -77,6 +80,15 @@ class TestEnsemble:
 
 
 NAN = math.nan
+_ENTRIES = ((0, 0), (0, 1), (1, 0), (1, 1))
+# Choi operator of half the identity channel, |Om><Om|/2; two of them are trace preserving.
+_IDENTITY_CHOI = 0.5 * np.outer([1, 0, 0, 1], [1, 0, 0, 1]).astype(complex)
+
+
+def _with_nan(m, index):
+    m = np.array(m, dtype=complex)
+    m[index] = NAN
+    return m
 
 
 # Every validator is written so that NaN fails it; with `err > tol` a NaN
@@ -88,7 +100,18 @@ NAN = math.nan
     lambda: StatePair(alpha=NAN, psi1=symmetric_pair(0.3).psi1.copy(), psi2=symmetric_pair(0.3).psi2.copy()),
     lambda: Instrument(outcomes=((np.array([[NAN, 0], [0, 1]]),), (np.diag([0.0, 1.0]),))),
     lambda: choi_functionals(np.full((4, 4), NAN), np.full((4, 4), NAN), symmetric_pair(0.3)),
-], ids=["ensemble-prior", "state", "pair-states", "pair-alpha", "kraus-entry", "choi"])
+    # A NaN in any entry, not only the first one a check compares: max() over
+    # Python floats skips a NaN that is not its first argument.
+    *(lambda index=index: Instrument(outcomes=((_with_nan(ID2, index),),)) for index in _ENTRIES),
+    *(lambda index=index: Instrument(outcomes=((_with_nan(np.diag([1.0, 0.0]), index),),
+                                               (np.diag([0.0, 1.0]),)))
+      for index in _ENTRIES),
+    lambda: choi_functionals(_with_nan(_IDENTITY_CHOI, (0, 1)), _IDENTITY_CHOI, symmetric_pair(0.3)),
+    lambda: choi_functionals(_IDENTITY_CHOI, _with_nan(_IDENTITY_CHOI, (3, 2)), symmetric_pair(0.3)),
+], ids=["ensemble-prior", "state", "pair-states", "pair-alpha", "kraus-entry", "choi",
+        *(f"identity-kraus-entry-{i}{j}" for i, j in _ENTRIES),
+        *(f"projective-kraus-entry-{i}{j}" for i, j in _ENTRIES),
+        "choi-off-diagonal-01", "choi-off-diagonal-32"])
 def test_nan_input_rejected(build):
     with pytest.raises(ValueError):
         build()
@@ -255,3 +278,86 @@ class TestDisturbanceAccuracy:
                 assert abs(mpmath.mpf(d) - reference) <= bound, t
             _, d_choi = choi_functionals(*(kraus_to_choi(ops) for ops in inst.outcomes), pair)
             assert abs(mpmath.mpf(d_choi) - reference) <= 2 * EPS, t
+
+
+def _random_choi_instrument(rng):
+    """Two-outcome instrument from random PSD Choi operators, up to four Kraus operators each."""
+    chois = []
+    for _ in range(2):
+        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        chois.append(g @ g.conj().T)
+    vals, vecs = np.linalg.eigh(partial_trace_first(chois[0] + chois[1]))
+    fix = np.kron(ID2, (vecs / np.sqrt(vals)) @ vecs.conj().T)
+    chois = [fix @ r @ fix.conj().T for r in chois]
+    return Instrument(outcomes=tuple(tuple(choi_to_kraus(r)) for r in chois)), chois
+
+
+def _random_ensemble(rng):
+    prior = float(rng.uniform(0.05, 0.95))
+    return Ensemble(priors=(prior, 1.0 - prior), states=(random_state(rng), random_state(rng)))
+
+
+class TestScalarFunctionalsMatchNumpyExpressions:
+    """The scalar functionals against the numpy expressions they replaced, on complex multi-Kraus input."""
+
+    @staticmethod
+    def _cases(rng):
+        for _ in range(12):
+            yield _random_choi_instrument(rng)[0], _random_ensemble(rng)
+            yield random_instrument(rng, kraus_counts=(3, 2)), _random_ensemble(rng)
+
+    def test_povm_success_probability_and_disturbance(self, rng):
+        for inst, ens in self._cases(rng):
+            elements = [sum(e.conj().T @ e for e in ops) for ops in inst.outcomes]
+            for got, want in zip(povm(inst), elements):
+                assert got.dtype == complex and got.shape == (2, 2)
+                np.testing.assert_allclose(got, want, rtol=0, atol=4 * EPS)
+            p = sum(prior * float(np.real(psi.conj() @ pi @ psi))
+                    for prior, psi, pi in zip(ens.priors, ens.states, elements))
+            assert abs(success_probability(inst, ens) - p) <= 4 * EPS
+            leaks = np.array([[sum(abs(np.vdot([-psi[1].conj(), psi[0].conj()], e @ psi)) ** 2 for e in ops)
+                               for ops in inst.outcomes] for psi in ens.states])
+            assert abs(disturbance(inst, ens) - float(np.dot(ens.priors, leaks.sum(axis=1)))) <= 4 * EPS
+
+    def test_cell_tables_bit_identical(self, rng):
+        # The loop cell_tables ran over numpy arrays; the simulator's draws depend on every bit.
+        for inst, ens in self._cases(rng):
+            probs = np.zeros((len(ens.states), inst.n_outcomes))
+            leaks = np.zeros_like(probs)
+            for i, (a, b) in enumerate(s.tolist() for s in ens.states):
+                for j, ops in enumerate(inst.outcomes):
+                    for (e00, e01), (e10, e11) in (e.tolist() for e in ops):
+                        out0, out1 = e00 * a + e01 * b, e10 * a + e11 * b
+                        amp = e10 * a * a - e01 * b * b - (e00 - e11) * a * b
+                        probs[i, j] += abs(out0) ** 2 + abs(out1) ** 2
+                        leaks[i, j] += abs(amp) ** 2
+            got_probs, got_leaks = cell_tables(inst, ens)
+            assert got_probs.dtype == float and np.array_equal(got_probs, probs)
+            assert got_leaks.dtype == float and np.array_equal(got_leaks, leaks)
+
+    def test_choi_functionals(self, rng):
+        for k in range(12):
+            _, (r1, r2) = _random_choi_instrument(rng)
+            alpha = float(rng.uniform(0.0, math.pi / 4))
+            pair = symmetric_pair(alpha)
+            if k % 2:
+                phase = np.exp(1j * rng.uniform(0.0, 2 * math.pi))
+                pair = StatePair(alpha=alpha, psi1=phase * pair.psi1, psi2=phase * pair.psi2)
+            total = r1 + r2
+            p = d = 0.0
+            for psi, r in zip((pair.psi1, pair.psi2), (r1, r2)):
+                c = psi.conj()
+                qc = np.outer([-c[1], c[0]], c).reshape(4)
+                p += 0.5 * float(np.vdot(c, partial_trace_first(r) @ c).real)
+                d += 0.5 * float(np.vdot(qc, total @ qc).real)
+            got_p, got_d = choi_functionals(r1, r2, pair)
+            assert abs(got_p - p) <= 8 * EPS and abs(got_d - d) <= 8 * EPS
+
+    def test_povm_returns_fresh_arrays(self, rng):
+        inst = random_instrument(rng, kraus_counts=(2, 1))
+        first = povm(inst)
+        expected = [pi.copy() for pi in first]
+        first[0][0, 0] = 7.0
+        first[1][:] = 0.0
+        for got, want in zip(povm(inst), expected):
+            np.testing.assert_array_equal(got, want)

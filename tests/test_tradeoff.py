@@ -21,6 +21,7 @@ from qtradeoff import (
     tradeoff_identity_residual,
     tradeoff_point,
 )
+from qtradeoff.tradeoff import curve_dist
 
 PI8 = math.pi / 8
 D_OPT_PI8 = (2 - math.sqrt(3)) / 4  # 0.0669872981077807
@@ -257,8 +258,9 @@ class TestNormalized:
         n0 = normalized(PI8, pt0.P, pt0.D)
         assert (n0.info, n0.dist) == (0.0, 0.0)
 
-    # 1e-170: D_opt underflows to 0.
-    @pytest.mark.parametrize("alpha", [0.0, math.pi / 4, 1e-170])
+    # 1e-170: D_opt underflows to 0. 1e-155 and 1e-160: D_opt is subnormal, and
+    # D / D_opt would be 1.6e-12 and 0.9% off.
+    @pytest.mark.parametrize("alpha", [0.0, math.pi / 4, 1e-170, 1e-155, 1e-160])
     def test_degenerate_normalization_rejected(self, alpha):
         with pytest.raises(ValueError):
             normalized(alpha, 0.7, 0.01)
@@ -271,6 +273,14 @@ class TestIdentityResidual:
                 pt = tradeoff_point(alpha, t)
                 norm = normalized(alpha, pt.P, pt.D)
                 assert abs(tradeoff_identity_residual(alpha, norm.info, norm.dist)) <= 1e-9
+
+    # D_opt is 0 at 1e-170 and 1e-300; the left side is formed from sqrt(D_opt) ~ alpha.
+    @pytest.mark.parametrize("alpha", [1e-170, 1e-300])
+    def test_zero_on_curve_at_tiny_alpha(self, alpha):
+        for t in (0.1, 0.5, 0.9, 1.0):
+            rhs = (math.sin(4 * alpha) / 4) * t * t / (1 + math.sqrt(1 - t * t))
+            residual = tradeoff_identity_residual(alpha, t, curve_dist(alpha, t))
+            assert abs(residual) <= 1e-12 * rhs, t
 
     def test_origin(self):
         assert tradeoff_identity_residual(PI8, 0.0, 0.0) == 0.0
