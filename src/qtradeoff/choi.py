@@ -9,6 +9,7 @@ explicit throughout, so nothing relies on states having real components.
 """
 from __future__ import annotations
 
+import math
 from operator import add, mul
 
 import numpy as np
@@ -93,8 +94,9 @@ def choi_functionals(r1: np.ndarray, r2: np.ndarray, pair: StatePair) -> tuple[f
     Both traces are evaluated as quadratic forms, with c = psi_i* and
     q = psi_i^perp: Tr[(1 (x) |c><c|) R] = <c| Tr_1 R |c> and
     Tr[(|q><q| (x) |c><c|) R] = <q (x) c| R |q (x) c>.
-    Raises if R_1 + R_2 is not trace preserving within 1e-8. Works on plain
-    complex scalars: numpy's per-call cost dominates at this size.
+    Raises if R_1 + R_2 is not trace preserving within 1e-8, or if an entry
+    or a result is not finite. Works on plain complex scalars: numpy's
+    per-call cost dominates at this size.
     """
     r1, r2 = np.asarray(r1, dtype=complex), np.asarray(r2, dtype=complex)
     if r1.shape != (4, 4) or r2.shape != (4, 4):
@@ -110,6 +112,10 @@ def choi_functionals(r1: np.ndarray, r2: np.ndarray, pair: StatePair) -> tuple[f
         c = psi.conj().tolist()
         p += 0.5 * _quadratic_form(c, [r[i] + r[i + 10] for i in (0, 1, 4, 5)])
         d += 0.5 * _quadratic_form([x * y for x in (-c[1], c[0]) for y in c], total)
+    # D's form multiplies every entry of R1 + R2 by a finite coefficient, and
+    # 0 * inf and 0 * nan are NaN, so a non-finite entry of R1 or R2 makes D non-finite.
+    if not (math.isfinite(p) and math.isfinite(d)):
+        raise ValueError("R1, R2 and the resulting P and D must be finite")
     return p, d
 
 

@@ -1,17 +1,22 @@
 """Command line surface: tradeoff curves and points, oracle verification, simulation.
 
 Emits CSV or JSON for plotting and CI. Exit codes: 0 success, 1 verification
-failure, 2 usage error. Each cmd_* maps parsed arguments to (text, exit code);
-the library validates the domain, and one runner per subcommand reports its
-ValueError as a usage error and writes the text to stdout or --out. Only
-verify and simulate import numpy, inside their commands.
+failure, 2 usage error. Each cmd_* validates its arguments, then returns (text
+chunks, exit code); the library validates the domain, and one runner per
+subcommand reports its ValueError as a usage error and writes the chunks to
+stdout or --out. cmd_curve returns a lazy iterator of chunks, each a block of
+rows, so the curve is computed as it is written, in constant memory. Only
+verify and simulate import numpy, and only point, verify and simulate import
+json (the curve's JSON rows come from a template), inside the functions that
+need them.
 """
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
+from collections.abc import Iterable, Iterator
+from itertools import islice
 
 from . import __version__
 from .tradeoff import (
@@ -26,10 +31,16 @@ from .tradeoff import (
 CURVE_COLUMNS = ("alpha", "t", "P", "D", "beta_t", "info", "dist", "identity_residual")
 # Largest --points accepted, so that the worst accepted call ends in under
 # about 30 s and 1 GiB. On a 2-core VM, curve --format json at the cap took
-# 3.6 s and 0.6 GiB (the text is built whole, so memory sets this cap), and
-# verify at the cap 28 s and 0.5 GiB.
+# 4.3 s and 16 MiB peak RSS (its rows are streamed, so memory no longer sets
+# this cap; time does), and verify at the cap 28 s and 0.5 GiB.
 MAX_CURVE_POINTS = 250_000
 MAX_VERIFY_POINTS = 200_000
+# Rows joined into one write: each write is a system call on unbuffered stdout.
+_BLOCK_ROWS = 1000
+# The curve's JSON row, as json.dumps(..., indent=2) writes a dict in the points list.
+_JSON_ROW = "    {{\n" + ",\n".join(f'      "{name}": {{}}' for name in CURVE_COLUMNS) + "\n    }}"
+# json's spelling of the values whose float repr is not valid JSON.
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _fmt(x) -> str:
@@ -49,10 +60,41 @@ def _povm_element(e):
     return ((e00 * e00 + e10 * e10, off), (off, e01 * e01 + e11 * e11))
 
 
-def _t_grid(n: int) -> list[float]:
-    """n >= 2 uniform samples of [0, 1], the last exactly 1, as np.linspace(0, 1, n)."""
+def _json_value(x) -> str:
+    """A float or None as json.dumps writes it."""
+    if x is None:
+        return "null"
+    text = float.__repr__(x)
+    return _JSON_NONFINITE.get(text, text)
+
+
+def _chunks(head: str, rows: Iterable[str], sep: str, tail: str) -> Iterator[str]:
+    """head + sep.join(rows) + tail, as chunks of at most _BLOCK_ROWS rows each."""
+    rows = iter(rows)
+    chunk = head + sep.join(islice(rows, _BLOCK_ROWS))
+    while block := sep.join(islice(rows, _BLOCK_ROWS)):
+        yield chunk
+        chunk = sep + block
+    yield chunk + tail
+
+
+def _curve_text(alpha: float, rows: Iterable[tuple], fmt: str) -> Iterator[str]:
+    """The curve's CSV, or the JSON text that _json(alpha=alpha, points=...) would give, in chunks."""
+    if fmt == "json":
+        head = (f'{{\n  "library": "qtradeoff",\n  "version": "{__version__}",\n'
+                f'  "alpha": {_json_value(alpha)},\n  "points": [\n')
+        lines = (_JSON_ROW.format(*map(_json_value, row)) for row in rows)
+        return _chunks(head, lines, ",\n", "\n  ]\n}\n")
+    lines = (",".join(map(_fmt, row)) for row in rows)
+    return _chunks(",".join(CURVE_COLUMNS) + "\n", lines, "\n", "\n")
+
+
+def _t_grid(n: int) -> Iterator[float]:
+    """n >= 2 uniform samples of [0, 1], the last exactly 1, as np.linspace(0, 1, n), lazily."""
     step = 1.0 / (n - 1)
-    return [i * step for i in range(n - 1)] + [1.0]
+    for i in range(n - 1):
+        yield i * step
+    yield 1.0
 
 
 def _check_points(points: int, low: int, high: int) -> None:
@@ -62,10 +104,12 @@ def _check_points(points: int, low: int, high: int) -> None:
         raise ValueError(f"--points must be <= {high}")
 
 
-def _json(**fields) -> str:
-    """JSON text of library and version, then fields, keys in the order given."""
+def _json(**fields) -> tuple[str]:
+    """JSON text of library and version, then fields, keys in the order given, as one chunk."""
+    import json
+
     payload = {"library": "qtradeoff", "version": __version__, **fields}
-    return json.dumps(payload, indent=2) + "\n"
+    return (json.dumps(payload, indent=2) + "\n",)
 
 
 def _add_input_arguments(p: argparse.ArgumentParser) -> list[argparse.Action]:
@@ -83,7 +127,8 @@ def _resolve_alpha(args) -> float:
             raise ValueError("--degrees converts --alpha only; it cannot be combined with --fsq")
         if not 0.0 <= args.fsq <= 1.0:
             raise ValueError(f"--fsq must lie in [0, 1], got {args.fsq}")
-        return 0.5 * math.asin(math.sqrt(args.fsq))
+        # atan2 keeps every digit near fsq = 1, where asin's argument rounds to 1.
+        return 0.5 * math.atan2(math.sqrt(args.fsq), math.sqrt(1.0 - args.fsq))
     alpha = math.radians(args.alpha) if args.degrees else args.alpha
     if not 0.0 <= alpha <= math.pi / 2:
         raise ValueError(f"--alpha must lie in [0, pi/2] radians, got {alpha}")
@@ -107,25 +152,22 @@ def _normalized_or_none(alpha: float, pt: TradeoffPoint):
     return pt.t, dist, tradeoff_identity_residual(alpha, pt.t, dist)
 
 
-def cmd_curve(args) -> tuple[str, int]:
+def _curve_row(alpha: float, t: float) -> tuple:
+    pt = tradeoff_point(alpha, t)
+    return (pt.alpha, pt.t, pt.P, pt.D, pt.beta_t, *_normalized_or_none(alpha, pt))
+
+
+def cmd_curve(args) -> tuple[Iterator[str], int]:
     alpha = _resolve_alpha(args)
     _check_points(args.points, 2, MAX_CURVE_POINTS)
     if _is_degenerate(alpha):
         print("warning: normalization is undefined at alpha in {0, pi/4}; "
               "info/dist/identity_residual columns are left blank", file=sys.stderr)
-    rows = []
-    for t in _t_grid(args.points):
-        pt = tradeoff_point(alpha, t)
-        info, dist, resid = _normalized_or_none(alpha, pt)
-        rows.append((pt.alpha, pt.t, pt.P, pt.D, pt.beta_t, info, dist, resid))
-    if args.format == "json":
-        return _json(alpha=alpha, points=[dict(zip(CURVE_COLUMNS, row)) for row in rows]), 0
-    lines = [",".join(CURVE_COLUMNS)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
-    return "\n".join(lines) + "\n", 0
+    rows = (_curve_row(alpha, t) for t in _t_grid(args.points))
+    return _curve_text(alpha, rows, args.format), 0
 
 
-def cmd_point(args) -> tuple[str, int]:
+def cmd_point(args) -> tuple[tuple[str], int]:
     alpha = _resolve_alpha(args)
     pt = tradeoff_point(alpha, args.t)
     info, dist, resid = _normalized_or_none(alpha, pt)
@@ -145,7 +187,7 @@ def cmd_point(args) -> tuple[str, int]:
     ), 0
 
 
-def cmd_verify(args) -> tuple[str, int]:
+def cmd_verify(args) -> tuple[tuple[str], int]:
     from .oracle import verify_closed_form
     from .qubit import symmetric_pair
 
@@ -156,7 +198,7 @@ def cmd_verify(args) -> tuple[str, int]:
     return _json(**report.as_dict()), 0 if report.all_passed else 1
 
 
-def cmd_simulate(args) -> tuple[str, int]:
+def cmd_simulate(args) -> tuple[tuple[str], int]:
     from .qubit import symmetric_pair
     from .simulate import RNG_ALGORITHM, SimulationConfig, run
 
@@ -211,18 +253,19 @@ def build_parser() -> argparse.ArgumentParser:
 
         def runner(args) -> int:
             try:
-                text, code = func(args)
+                chunks, code = func(args)
             except ValueError as exc:
                 message = str(exc)
                 dest = message.partition(" ")[0]
                 if dest in flags and getattr(args, dest) is not None:
                     message = f"argument {flags[dest]}: {message}"
                 p.error(message)
+            # sys.stdout is read here, not bound earlier, so that redirect_stdout applies.
             if args.out is None:
-                sys.stdout.write(text)
+                sys.stdout.writelines(chunks)
             else:
                 with open(args.out, "w") as fh:
-                    fh.write(text)
+                    fh.writelines(chunks)
             return code
 
         p.set_defaults(func=runner)

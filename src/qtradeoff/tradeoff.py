@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 # A real 2x2 matrix as rows: ((m00, m01), (m10, m11)).
 _Matrix = tuple[tuple[float, float], tuple[float, float]]
@@ -146,24 +146,16 @@ def no_feedback_instrument(alpha: float, t: float) -> Instrument:
     return Instrument(outcomes=((e1,), (e2,)))
 
 
-@dataclass(frozen=True)
-class TradeoffPoint:
+class TradeoffPoint(namedtuple("TradeoffPoint", "alpha t P D beta_t gamma")):
     """One point of the optimal curve: P = t cos^2 a + (1-t)/2 and 0 <= D <= D_opt(a)."""
 
-    alpha: float
-    t: float
-    P: float
-    D: float
-    beta_t: float
-    gamma: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class NormalizedPoint:
+class NormalizedPoint(namedtuple("NormalizedPoint", "info dist")):
     """Information and disturbance rescaled by their t = 1 values; on the curve info = t."""
 
-    info: float
-    dist: float
+    __slots__ = ()
 
 
 def tradeoff_point(alpha: float, t: float) -> TradeoffPoint:

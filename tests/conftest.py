@@ -1,6 +1,4 @@
 """Shared random-object helpers for the test suite."""
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -60,7 +58,7 @@ def shift_closed_form(monkeypatch, delta):
     """Make verify_closed_form compare the oracle against D_t + delta."""
     exact = oracle_module.tradeoff_point
     monkeypatch.setattr(oracle_module, "tradeoff_point",
-                        lambda alpha, t: dataclasses.replace(exact(alpha, t), D=exact(alpha, t).D + delta))
+                        lambda alpha, t: exact(alpha, t)._replace(D=exact(alpha, t).D + delta))
 
 
 @pytest.fixture

@@ -9,11 +9,14 @@ import sys
 import pytest
 
 import qtradeoff
-from qtradeoff.cli import MAX_CURVE_POINTS, MAX_VERIFY_POINTS, main
+from qtradeoff import cli
+from qtradeoff.cli import CURVE_COLUMNS, MAX_CURVE_POINTS, MAX_VERIFY_POINTS, main
+from qtradeoff.tradeoff import curve_dist, tradeoff_identity_residual, tradeoff_point
 
-from conftest import shift_closed_form
+from conftest import curve_disturbance_reference, shift_closed_form
 
 PI8 = math.pi / 8
+EPS = sys.float_info.epsilon
 
 
 def run_cli(capsys, argv):
@@ -27,6 +30,22 @@ def _child_env() -> dict:
     src = str(pathlib.Path(qtradeoff.__file__).resolve().parents[1])
     return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+@pytest.fixture(scope="module")
+def whole_curve():
+    """alpha, n and the curve's CSV and JSON texts at n = 20001 points, built whole."""
+    alpha, n = 0.3, 20001
+    rows = []
+    for i in range(n):
+        pt = tradeoff_point(alpha, 1.0 if i == n - 1 else i * (1.0 / (n - 1)))
+        dist = curve_dist(alpha, pt.t)
+        rows.append((pt.alpha, pt.t, pt.P, pt.D, pt.beta_t, pt.t, dist,
+                     tradeoff_identity_residual(alpha, pt.t, dist)))
+    payload = {"library": "qtradeoff", "version": qtradeoff.__version__, "alpha": alpha,
+               "points": [dict(zip(CURVE_COLUMNS, row)) for row in rows]}
+    csv = [",".join(CURVE_COLUMNS)] + [",".join(cli._fmt(v) for v in row) for row in rows]
+    return alpha, n, {"json": json.dumps(payload, indent=2) + "\n", "csv": "\n".join(csv) + "\n"}
 
 
 class TestCurve:
@@ -101,14 +120,13 @@ class TestCurve:
         assert payload["points"][0]["P"] == 0.5
 
     def test_degrees_flag(self, capsys):
-        # 22.5 degrees and f^2 = 1/2 name the same pair (up to 1 ulp in alpha)
+        # 22.5 degrees and f^2 = 1/2 name the same pair, both as the double nearest pi/8
         _, out_deg, _ = run_cli(capsys, ["curve", "--alpha", "22.5", "--degrees",
-                                         "--points", "3"])
-        _, out_fsq, _ = run_cli(capsys, ["curve", "--fsq", "0.5", "--points", "3"])
-        for line_a, line_b in zip(out_deg.strip().split("\n")[1:],
-                                  out_fsq.strip().split("\n")[1:]):
-            for a, b in zip(line_a.split(","), line_b.split(",")):
-                assert float(a) == pytest.approx(float(b), abs=1e-12)
+                                         "--points", "3", "--format", "json"])
+        _, out_fsq, _ = run_cli(capsys, ["curve", "--fsq", "0.5", "--points", "3",
+                                         "--format", "json"])
+        assert out_deg == out_fsq
+        assert json.loads(out_fsq)["alpha"] == PI8
 
     def test_alpha_folding_warns(self, capsys):
         code, out, err = run_cli(capsys, ["curve", "--alpha", "1.2", "--points", "3"])
@@ -131,6 +149,44 @@ class TestCurve:
         assert code == 0
         assert out == ""
         assert expected and target.read_text() == expected
+
+    # The curve's JSON rows are written from a template, not by json; every
+    # kind of value it can meet is spelled as json.dumps spells it.
+    def test_json_rows_match_json_dumps(self):
+        values = [None, 0.0, -0.0, 1.0, 0.1, 1 / 3, 5e-324, 2.2250738585072014e-308,
+                  2.225073858507201e-308, 1e-310, -4.9e-322, 0.30000000000000004,
+                  0.39269908169872414, 1.2345678901234567e-100, 9007199254740993.0, 1e16,
+                  1e22, 1.7976931348623157e308, math.nan, math.inf, -math.inf]
+        rows = [tuple(values[(i + k) % len(values)] for k in range(len(CURVE_COLUMNS)))
+                for i in range(len(values))]
+        for alpha in (0.39269908169872414, 5e-324, -0.0, math.nan):
+            text = "".join(cli._curve_text(alpha, iter(rows), "json"))
+            payload = {"library": "qtradeoff", "version": qtradeoff.__version__, "alpha": alpha,
+                       "points": [dict(zip(CURVE_COLUMNS, row)) for row in rows]}
+            assert text == json.dumps(payload, indent=2) + "\n"
+
+    # The curve is written in blocks of rows as it is computed; the text is
+    # the one built whole by json.dumps and by joining _fmt's fields.
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    def test_streamed_curve_is_the_whole_text(self, fmt, to_file, whole_curve, capsys, tmp_path):
+        alpha, n, expected = whole_curve
+        argv = ["curve", "--alpha", repr(alpha), "--points", str(n), "--format", fmt]
+        target = tmp_path / "curve.txt"
+        code, out, err = run_cli(capsys, argv + ["--out", str(target)] if to_file else argv)
+        assert code == 0 and err == ""
+        assert (target.read_text() if to_file else out) == expected[fmt]
+
+    @pytest.mark.parametrize("points", ["1", str(MAX_CURVE_POINTS + 1)])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_points_outside_the_range_write_nothing(self, points, fmt, capsys, tmp_path):
+        target = tmp_path / "curve.txt"
+        for extra in ([], ["--out", str(target)]):
+            with pytest.raises(SystemExit) as exc:
+                main(["curve", "--fsq", "0.5", "--points", points, "--format", fmt, *extra])
+            assert exc.value.code == 2
+            assert capsys.readouterr().out == ""
+        assert not target.exists()
 
 
 class TestPoint:
@@ -162,6 +218,24 @@ class TestPoint:
         for e in payload["kraus"]:
             assert e[0][0][0] == pytest.approx(1 / math.sqrt(2), abs=1e-12)
             assert abs(e[0][1][0]) < 1e-12
+
+    # alpha = atan2(sqrt(fsq), sqrt(1 - fsq))/2 keeps every digit near fsq = 1,
+    # where asin(sqrt(fsq)) lost half of them (1.1e-4 relative in D at 1 - 1e-12).
+    # What is left is the float grid of alpha: D ~ (pi/4 - a)^2 there, so an
+    # error of eps in alpha is 2 eps/(pi/4 - a) relative in D.
+    @pytest.mark.parametrize("fsq", ["0.1", "0.5", "0.9", "0.99", "0.999999", "0.99999999",
+                                     "0.9999999999", "0.999999999999", "0.9999999999999999"])
+    @pytest.mark.parametrize("t", ["0.5", "1"])
+    def test_fsq_against_mpmath(self, fsq, t, capsys):
+        mpmath = pytest.importorskip("mpmath")
+        _, out, _ = run_cli(capsys, ["point", "--fsq", fsq, "--t", t])
+        payload = json.loads(out)
+        with mpmath.workdps(60):
+            alpha = mpmath.asin(mpmath.sqrt(mpmath.mpf(float(fsq)))) / 2
+            reference = curve_disturbance_reference(mpmath, alpha, float(t))
+            assert abs(payload["alpha"] - alpha) <= EPS * alpha
+            bound = 1e-14 + 2 * EPS / float(mpmath.pi / 4 - alpha)
+            assert abs(payload["D"] - reference) <= bound * reference
 
     def test_degenerate_alpha_keeps_point_but_nulls_normalization(self, capsys):
         code, out, _ = run_cli(capsys, ["point", "--fsq", "1", "--t", "0.5"])
@@ -388,21 +462,27 @@ class TestUsageErrors:
 
 
 # curve and point need only the closed forms: they load neither numpy nor
-# importlib.metadata, and their JSON names no RNG, since none runs.
+# importlib.metadata, nor dataclasses and the inspect module it imports, and
+# their JSON names no RNG, since none runs. curve, in either format, does not
+# load json either; this script imports it only after the curve commands ran.
 _NUMPY_FREE_SCRIPT = """
-import contextlib, io, json, sys
+import contextlib, io, sys
 import qtradeoff
 from qtradeoff.cli import main
-loaded, rng_keys = {"import": ["numpy" in sys.modules, "importlib.metadata" in sys.modules]}, []
+HEAVY = ("numpy", "importlib.metadata", "dataclasses", "inspect")
+loaded, outputs = {"import": [m for m in HEAVY if m in sys.modules]}, []
 for argv in (["curve", "--fsq", "0.5", "--points", "5"],
              ["curve", "--fsq", "0.5", "--points", "5", "--format", "json"],
              ["point", "--fsq", "0.5", "--t", "0.5"]):
+    if argv[0] == "point":
+        loaded["json after curve"] = "json" in sys.modules
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert main(argv) == 0
-    loaded[" ".join(argv)] = ["numpy" in sys.modules, "importlib.metadata" in sys.modules]
-    if out.getvalue().startswith("{"):
-        rng_keys.append("rng" in json.loads(out.getvalue()))
+    loaded[" ".join(argv)] = [m for m in HEAVY if m in sys.modules]
+    outputs.append(out.getvalue())
+import json
+rng_keys = ["rng" in json.loads(text) for text in outputs if text.startswith("{")]
 print(json.dumps({"loaded": loaded, "rng_keys": rng_keys}))
 """
 
@@ -412,8 +492,8 @@ def test_closed_form_commands_do_not_load_numpy():
                           capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
-    assert len(report["loaded"]) == 4, report["loaded"]
-    assert not any(any(flags) for flags in report["loaded"].values()), report["loaded"]
+    assert len(report["loaded"]) == 5, report["loaded"]
+    assert not any(report["loaded"].values()), report["loaded"]
     assert report["rng_keys"] == [False, False]
 
 

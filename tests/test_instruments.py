@@ -85,9 +85,12 @@ _ENTRIES = ((0, 0), (0, 1), (1, 0), (1, 1))
 _IDENTITY_CHOI = 0.5 * np.outer([1, 0, 0, 1], [1, 0, 0, 1]).astype(complex)
 
 
-def _with_nan(m, index):
+_CHOI_ENTRIES = tuple((i, j) for i in range(4) for j in range(4))
+
+
+def _with_nan(m, index, value=NAN):
     m = np.array(m, dtype=complex)
-    m[index] = NAN
+    m[index] = value
     return m
 
 
@@ -108,10 +111,22 @@ def _with_nan(m, index):
       for index in _ENTRIES),
     lambda: choi_functionals(_with_nan(_IDENTITY_CHOI, (0, 1)), _IDENTITY_CHOI, symmetric_pair(0.3)),
     lambda: choi_functionals(_IDENTITY_CHOI, _with_nan(_IDENTITY_CHOI, (3, 2)), symmetric_pair(0.3)),
+    # Every entry of R1, also those the trace-preserving check does not read, such as (0, 3).
+    *(lambda index=index: choi_functionals(_with_nan(_IDENTITY_CHOI, index), _IDENTITY_CHOI,
+                                           symmetric_pair(0.3))
+      for index in _CHOI_ENTRIES),
+    lambda: choi_functionals(_with_nan(_IDENTITY_CHOI, (0, 3), complex(0.0, NAN)), _IDENTITY_CHOI,
+                             symmetric_pair(0.3)),
+    lambda: choi_functionals(_with_nan(_IDENTITY_CHOI, (0, 3), math.inf), _IDENTITY_CHOI,
+                             symmetric_pair(0.3)),
+    lambda: choi_functionals(_with_nan(_IDENTITY_CHOI, (1, 2), -math.inf),
+                             _with_nan(_IDENTITY_CHOI, (1, 2), math.inf), symmetric_pair(0.3)),
 ], ids=["ensemble-prior", "state", "pair-states", "pair-alpha", "kraus-entry", "choi",
         *(f"identity-kraus-entry-{i}{j}" for i, j in _ENTRIES),
         *(f"projective-kraus-entry-{i}{j}" for i, j in _ENTRIES),
-        "choi-off-diagonal-01", "choi-off-diagonal-32"])
+        "choi-off-diagonal-01", "choi-off-diagonal-32",
+        *(f"choi-entry-{i}{j}" for i, j in _CHOI_ENTRIES),
+        "choi-imaginary-nan-03", "choi-inf-03", "choi-opposite-inf-12"])
 def test_nan_input_rejected(build):
     with pytest.raises(ValueError):
         build()

@@ -44,7 +44,7 @@ INTERNAL = {
     "oracle": {"FEASIBILITY_ATOL", "SUPEROPTIMALITY_TOL", "VerificationPoint"},
     "simulate": {"MAX_SHOTS"},
 }
-# Public attributes of exported classes besides their dataclass fields.
+# Public attributes of exported classes besides their dataclass or named-tuple fields.
 CLASS_ATTRIBUTES = {"Ensemble": {"equal_pair"}, "Instrument": {"n_outcomes"},
                     "VerificationReport": {"as_dict"}}
 
@@ -88,6 +88,7 @@ def test_no_undocumented_public_names():
     for name in qtradeoff.__all__:
         cls = getattr(qtradeoff, name)
         if inspect.isclass(cls):
-            fields = {f.name for f in dataclasses.fields(cls)}
+            fields = set(cls._fields) if issubclass(cls, tuple) else {
+                f.name for f in dataclasses.fields(cls)}
             extra = {a for a in vars(cls) if not a.startswith("_")} - fields
             assert extra == CLASS_ATTRIBUTES.get(name, set()), name
