@@ -14,14 +14,10 @@ from operator import add, mul
 
 import numpy as np
 
-from .qubit import ID2, SIGMA_XX, StatePair, is_hermitian, tensor
+from .qubit import ID2, OPERATOR_ATOL, SIGMA_XX, StatePair, is_hermitian, tensor
 
 OMEGA = np.array([1, 0, 0, 1], dtype=complex)
 OMEGA.setflags(write=False)
-
-TRACE_PRESERVING_ATOL = 1e-8
-# Eigenvalues of a Choi operator in [-PSD_ATOL, 0) are rounding drift, clamped to zero.
-PSD_ATOL = 1e-10
 
 
 def kraus_to_choi(kraus_ops) -> np.ndarray:
@@ -94,7 +90,8 @@ def choi_functionals(r1: np.ndarray, r2: np.ndarray, pair: StatePair) -> tuple[f
     Both traces are evaluated as quadratic forms, with c = psi_i* and
     q = psi_i^perp: Tr[(1 (x) |c><c|) R] = <c| Tr_1 R |c> and
     Tr[(|q><q| (x) |c><c|) R] = <q (x) c| R |q (x) c>.
-    Raises if R_1 + R_2 is not trace preserving within 1e-8, or if an entry
+    Raises if R_1 + R_2 is not trace preserving entrywise within
+    OPERATOR_ATOL, as Instrument checks completeness, or if an entry
     or a result is not finite. Works on plain complex scalars: numpy's
     per-call cost dominates at this size.
     """
@@ -104,7 +101,7 @@ def choi_functionals(r1: np.ndarray, r2: np.ndarray, pair: StatePair) -> tuple[f
     r1, r2 = r1.ravel().tolist(), r2.ravel().tolist()
     total = list(map(add, r1, r2))
     # Tr_1[R][k][l] sums flat entries 4k + l and 4k + l + 10; all() fails on NaN, max() may not.
-    if not all(abs(total[i] + total[i + 10] - one) <= TRACE_PRESERVING_ATOL
+    if not all(abs(total[i] + total[i + 10] - one) <= OPERATOR_ATOL
                for i, one in zip((0, 1, 4, 5), (1.0, 0.0, 0.0, 1.0))):
         raise ValueError("R1 + R2 is not trace preserving within tolerance")
     p = d = 0.0
@@ -127,14 +124,14 @@ def _quadratic_form(v, m) -> float:
 def choi_to_kraus(r: np.ndarray) -> list[np.ndarray]:
     """Kraus operators of a Choi operator via Hermitian eigendecomposition.
 
-    Eigenvalues in [-PSD_ATOL, 0) are clamped to zero (numerical PSD drift);
-    more negative ones raise.
+    Eigenvalues in [-OPERATOR_ATOL, 0) are clamped to zero (numerical PSD
+    drift); more negative ones raise.
     """
     r = np.asarray(r, dtype=complex)
     if r.shape != (4, 4) or not is_hermitian(r):
         raise ValueError("Choi operator must be a 4x4 Hermitian matrix")
     vals, vecs = np.linalg.eigh(0.5 * (r + r.conj().T))
-    if vals[0] < -PSD_ATOL:
+    if vals[0] < -OPERATOR_ATOL:
         raise ValueError(f"Choi operator is not PSD: min eigenvalue {vals[0]!r}")
     ops = []
     for lam, v in zip(vals, vecs.T):

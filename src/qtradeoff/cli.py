@@ -53,13 +53,6 @@ def _matrix_json(m) -> list:
     return [[[x, 0.0] for x in row] for row in m]
 
 
-def _povm_element(e):
-    """E^T E, the POVM element of the real Kraus operator E (instruments.povm)."""
-    (e00, e01), (e10, e11) = e
-    off = e00 * e01 + e10 * e11
-    return ((e00 * e00 + e10 * e10, off), (off, e01 * e01 + e11 * e11))
-
-
 def _json_value(x) -> str:
     """A float or None as json.dumps writes it."""
     if x is None:
@@ -172,6 +165,8 @@ def cmd_point(args) -> tuple[tuple[str], int]:
     pt = tradeoff_point(alpha, args.t)
     info, dist, resid = _normalized_or_none(alpha, pt)
     kraus = kraus_entries(pt.t, pt.beta_t)
+    # The feedback rotation cancels in E^T E, so the POVM is exactly diagonal at every alpha.
+    hi, lo = (1.0 + pt.t) / 2.0, (1.0 - pt.t) / 2.0
     return _json(
         alpha=pt.alpha,
         t=pt.t,
@@ -183,7 +178,7 @@ def cmd_point(args) -> tuple[tuple[str], int]:
         dist=dist,
         identity_residual=resid,
         kraus=[_matrix_json(e) for e in kraus],
-        povm=[_matrix_json(_povm_element(e)) for e in kraus],
+        povm=[_matrix_json(((hi, 0.0), (0.0, lo))), _matrix_json(((lo, 0.0), (0.0, hi)))],
     ), 0
 
 

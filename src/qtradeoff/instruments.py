@@ -10,9 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qubit import StatePair, validate_state
-
-COMPLETENESS_ATOL = 1e-10
+from .qubit import ATOL_ALGEBRAIC, OPERATOR_ATOL, StatePair, validate_state
 
 
 @dataclass(frozen=True, eq=False)
@@ -20,8 +18,9 @@ class Instrument:
     """Ordered outcomes, each a tuple of 2x2 Kraus operators.
 
     Completeness sum_i sum_k E_k^(i)† E_k^(i) = 1 is enforced on construction
-    (entrywise, within 1e-10). The POVM elements and Kraus entries are kept as
-    plain complex scalars, computed once: numpy's per-call cost dominates here.
+    (entrywise, within OPERATOR_ATOL). The POVM elements and Kraus entries are
+    kept as plain complex scalars, computed once: numpy's per-call cost
+    dominates here.
     """
 
     outcomes: tuple[tuple[np.ndarray, ...], ...]
@@ -45,7 +44,7 @@ class Instrument:
                 p11 += e01.conjugate() * e01 + e11.conjugate() * e11
             elements.append(((p00, p01), (p01.conjugate(), p11)))
         # all(), not max(): max() skips a NaN that is not its first argument.
-        if not all(abs(sum(pi[i][j] for pi in elements) - (i == j)) <= COMPLETENESS_ATOL
+        if not all(abs(sum(pi[i][j] for pi in elements) - (i == j)) <= OPERATOR_ATOL
                    for i, j in ((0, 0), (0, 1), (1, 1))):
             raise ValueError("Kraus operators do not satisfy the completeness relation")
         object.__setattr__(self, "outcomes", tuple(clean))
@@ -71,7 +70,7 @@ class Ensemble:
             raise ValueError("priors and states must have matching lengths")
         if not all(p >= 0 for p in priors):
             raise ValueError("priors must be nonnegative")
-        if not abs(sum(priors) - 1.0) <= 1e-12:
+        if not abs(sum(priors) - 1.0) <= ATOL_ALGEBRAIC:
             raise ValueError(f"priors must sum to 1, got {sum(priors)!r}")
         for s in states:
             validate_state(s)
@@ -142,7 +141,7 @@ def disturbance(inst: Instrument, ens: Ensemble) -> float:
     difference in it, unlike one minus the input-averaged fidelity
     1 - sum_i p_i <psi_i| E(|psi_i><psi_i|) |psi_i>, which it equals for a
     trace-preserving instrument; the two differ by the completeness error,
-    at most 2e-10 within Instrument's entrywise tolerance.
+    at most 2 OPERATOR_ATOL within Instrument's entrywise tolerance.
     """
     _, leaks = _cells(inst, ens)
     return sum(prior * sum(row) for prior, row in zip(ens.priors, leaks))

@@ -37,7 +37,7 @@ optimal. At t = 1 the dual optimum is not attained (y2 diverges): the
 constraints pin the input marginal of R1 to the pure state |1><1|, which
 forces R1 = S (x) |1><1|. That face is the rank-one family itself, since
 sqrt(tau) puts w on indices 0 and 2, and the family's maximum is the face's
-exact optimum, its own certificate.
+exact optimum, its own certificate up to the rounding of Tr[Sigma R1].
 """
 from __future__ import annotations
 
@@ -79,11 +79,12 @@ class OracleResult:
     achieved_D = 1 - Tr[Sigma R1]. lower_bound_D is a proven lower bound on
     the minimum disturbance over operators of any rank, with an allowance for
     eigenvalue rounding: for 0 < t < 1 the dual value at a KKT point of w, at
-    t = 0 the dual value at y = (<psi1|psi2>, 0), and at t = 1 achieved_D
-    itself. certified_gap = achieved_D - lower_bound_D + |lambda_max r_tr| +
-    |y1 r_sx| + |y2 r_sz| for the dual point y that set the bound and R1's
-    residuals r in the trace, sx and sz conditions; by weak duality it is
-    never negative.
+    t = 0 the dual value at y = (<psi1|psi2>, 0). certified_gap =
+    achieved_D - lower_bound_D + |lambda_max r_tr| + |y1 r_sx| + |y2 r_sz| for
+    the dual point y that set the bound and R1's residuals r in the trace, sx
+    and sz conditions; by weak duality it is never negative. At t = 1,
+    certified_gap is the rounding allowance 8 eps |Tr[Sigma R1]| and
+    lower_bound_D = achieved_D - certified_gap.
     """
 
     best_R1: np.ndarray
@@ -183,23 +184,24 @@ def maximize(pair: StatePair, t: float, cfg: OracleConfig | None = None) -> Orac
         maxima = _circle_maxima(sig, t)
         w = max(maxima, key=lambda m: m[0])[1]
         r1 = np.outer(w, w)
-        # At t = 1 the family is the face, whose optimum is its own certificate.
+        # At t = 1 the family is the face, whose optimum is its own certificate up to rounding.
         duals = [_kkt_dual(sig, u, t) for _, u in maxima] if t < 1.0 else []
-    achieved = 1.0 - float(np.sum(sig * r1))
+    objective = float(np.sum(sig * r1))
+    achieved = 1.0 - objective
+    residuals = constraint_residuals(r1, pair, t)
     if duals:
         dual, y, lam_max = min(duals, key=lambda d: d[0])
         lower = 1.0 - dual
-        weights = np.array([lam_max, *y])
+        # Weak duality at y: Tr[Sigma R1] <= dual + lambda_max r_tr + y1 r_sx + y2 r_sz.
+        gap = achieved - lower + float(np.abs(np.array([lam_max, *y]) * residuals[1:]).sum())
     else:
-        lower, weights = achieved, np.zeros(3)
-    residuals = constraint_residuals(r1, pair, t)
-    # Weak duality at y: Tr[Sigma R1] <= dual + lambda_max r_tr + y1 r_sx + y2 r_sz.
-    slack = float(np.abs(weights * residuals[1:]).sum())
+        gap = _DUAL_ROUNDING * abs(objective)
+        lower = achieved - gap
     return OracleResult(
         best_R1=r1,
         achieved_D=achieved,
         lower_bound_D=lower,
-        certified_gap=achieved - lower + slack,
+        certified_gap=gap,
         constraint_residuals=residuals,
     )
 

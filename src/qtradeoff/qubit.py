@@ -11,10 +11,13 @@ import numpy as np
 
 from .tradeoff import check_alpha
 
-# Library-wide tolerance for direct algebraic identities.
+# The library's input-check tolerances. Identities on O(1) scalars formed in a
+# few operations: the state norm, StatePair's geometry, Ensemble's prior sum.
 ATOL_ALGEBRAIC = 1e-12
-# Entrywise tolerance of is_hermitian.
-HERMITIAN_ATOL = 1e-10
+# Entrywise identities on operators that callers pass in, which come from
+# products and eigendecompositions: Hermiticity, Kraus completeness, Choi trace
+# preservation, and the eigenvalue floor of choi_to_kraus.
+OPERATOR_ATOL = 1e-10
 
 ID2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -25,9 +28,9 @@ for _const in (ID2, SIGMA_X, SIGMA_Z):
 
 
 def is_hermitian(m: np.ndarray) -> bool:
-    """Square, with entrywise max|M - M†| <= HERMITIAN_ATOL (NaN fails)."""
+    """Square, with entrywise max|M - M†| <= OPERATOR_ATOL (NaN fails)."""
     m = np.asarray(m)
-    return m.ndim == 2 and m.shape[0] == m.shape[1] and bool(np.max(np.abs(m - m.conj().T)) <= HERMITIAN_ATOL)
+    return m.ndim == 2 and m.shape[0] == m.shape[1] and bool(np.max(np.abs(m - m.conj().T)) <= OPERATOR_ATOL)
 
 
 def projector(psi: np.ndarray) -> np.ndarray:
@@ -37,7 +40,7 @@ def projector(psi: np.ndarray) -> np.ndarray:
 
 
 def validate_state(psi) -> np.ndarray:
-    """Return psi as a complex 2-vector; raise if not normalized within 1e-12."""
+    """Return psi as a complex 2-vector; raise if |psi|^2 is not 1 within ATOL_ALGEBRAIC."""
     psi = np.asarray(psi, dtype=complex)
     if psi.shape != (2,):
         raise ValueError(f"pure state must be a 2-component vector, got shape {psi.shape}")

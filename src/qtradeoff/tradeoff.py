@@ -22,6 +22,9 @@ from collections import namedtuple
 
 # A real 2x2 matrix as rows: ((m00, m01), (m10, m11)).
 _Matrix = tuple[tuple[float, float], tuple[float, float]]
+# How far tradeoff_identity_residual lets info and dist overshoot [0, 1], by
+# round-off in ratios computed from the curve, before it clamps them.
+_RATIO_OVERSHOOT = 1e-9
 
 
 def check_alpha(alpha: float) -> float:
@@ -203,10 +206,9 @@ def tradeoff_identity_residual(alpha: float, info: float, dist: float) -> float:
     alpha = check_alpha(alpha)
     if alpha == 0.0 or alpha == math.pi / 4:
         raise ValueError("identity residual requires 0 < alpha < pi/4")
-    # Ratios computed from the curve itself can overshoot the ends by round-off.
     def _unit_interval(x, name):
         x = float(x)
-        if not -1e-9 <= x <= 1.0 + 1e-9:
+        if not -_RATIO_OVERSHOOT <= x <= 1.0 + _RATIO_OVERSHOOT:
             raise ValueError(f"{name} must lie in [0, 1], got {x!r}")
         return min(max(x, 0.0), 1.0)
 

@@ -7,6 +7,7 @@ import pytest
 from qtradeoff import (
     Ensemble,
     ID2,
+    Instrument,
     SIGMA_XX,
     choi_apply,
     choi_functionals,
@@ -22,6 +23,7 @@ from qtradeoff import (
     symmetrize,
 )
 from qtradeoff.choi import OMEGA
+from qtradeoff.qubit import OPERATOR_ATOL
 
 from conftest import random_density, random_instrument, random_state
 
@@ -194,6 +196,29 @@ class TestChoiFunctionals:
         pair = symmetric_pair(0.3)
         with pytest.raises(ValueError):
             choi_functionals(OMEGA_PROJ, OMEGA_PROJ, pair)
+
+    # The Kraus and Choi routes admit the same instruments: the identity
+    # instrument, split over two outcomes, with a completeness error of half
+    # the operator tolerance passes both checks, and twice it fails both.
+    @pytest.mark.parametrize("entry", ["diagonal", "off-diagonal"])
+    @pytest.mark.parametrize("scale, admitted", [(0.5, True), (2.0, False)])
+    def test_kraus_and_choi_routes_admit_the_same_instruments(self, entry, scale, admitted):
+        delta = scale * OPERATOR_ATOL
+        h = math.sqrt(0.5)
+        # sum over both outcomes of E^† E is 1 plus delta in entry (0, 0), or in (0, 1).
+        if entry == "diagonal":
+            e = np.array([[math.sqrt((1.0 + delta) / 2.0), 0.0], [0.0, h]])
+        else:
+            e = np.array([[h, delta * h], [0.0, h]])
+        r = kraus_to_choi([e])
+        if admitted:
+            Instrument(outcomes=((e,), (e,)))
+            choi_functionals(r, r, symmetric_pair(0.3))
+        else:
+            with pytest.raises(ValueError, match="completeness"):
+                Instrument(outcomes=((e,), (e,)))
+            with pytest.raises(ValueError, match="trace preserving"):
+                choi_functionals(r, r, symmetric_pair(0.3))
 
 
 class TestChoiToKraus:

@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -211,6 +212,16 @@ class TestPoint:
         povm0 = payload["povm"][0]
         assert povm0[0][0][0] == pytest.approx(0.75, abs=1e-12)
         assert povm0[1][1][0] == pytest.approx(0.25, abs=1e-12)
+
+    # The feedback rotation cancels in E^T E, so the POVM is diag((1+t)/2, (1-t)/2)
+    # and its mirror at every alpha, each entry correctly rounded.
+    @pytest.mark.parametrize("alpha", ["1e-8", "0.1", "0.3926990816987", "0.7", "0.7853981"])
+    def test_povm_is_exact(self, alpha, capsys):
+        for t in (0.0, 1e-8, 0.1, 0.3, 0.5, 0.9, 0.999, 1.0):
+            _, out, _ = run_cli(capsys, ["point", "--alpha", alpha, "--t", repr(t)])
+            hi, lo = float((1 + Fraction(t)) / 2), float((1 - Fraction(t)) / 2)
+            assert json.loads(out)["povm"] == [[[[hi, 0.0], [0.0, 0.0]], [[0.0, 0.0], [lo, 0.0]]],
+                                               [[[lo, 0.0], [0.0, 0.0]], [[0.0, 0.0], [hi, 0.0]]]], t
 
     def test_no_measurement_kraus(self, capsys):
         _, out, _ = run_cli(capsys, ["point", "--fsq", "0.5", "--t", "0"])

@@ -20,7 +20,7 @@ from qtradeoff import oracle as oracle_module
 from qtradeoff import tradeoff as tradeoff_module
 from qtradeoff.choi import OMEGA
 
-from conftest import shift_closed_form
+from conftest import curve_disturbance_reference, shift_closed_form
 
 PI8 = math.pi / 8
 EPS = np.finfo(float).eps
@@ -171,11 +171,21 @@ class TestMaximize:
         assert a.achieved_D == b.achieved_D
         np.testing.assert_array_equal(a.best_R1, b.best_R1)
 
+    # At t = 1 the face's optimum is its own certificate, less the interior's
+    # rounding allowance 8 eps |Tr[Sigma R1]|, which keeps lower_bound_D below
+    # D_t: achieved_D alone exceeds it by up to 4.5e-16 at 8 of the 12 grid alphas.
     def test_boundary_uses_exact_face_reduction(self):
-        result = maximize(symmetric_pair(0.3), 1.0)
-        assert result.certified_gap == 0.0
-        assert result.lower_bound_D == result.achieved_D
-        assert result.achieved_D == pytest.approx(tradeoff_point(0.3, 1.0).D, abs=1e-12)
+        mpmath = pytest.importorskip("mpmath")
+        alphas = [*np.linspace(0.02, 0.78, 12), *(10.0 ** -k for k in range(2, 9)),
+                  *(math.pi / 4 - 10.0 ** -k for k in range(2, 9))]
+        for alpha in alphas:
+            pair = symmetric_pair(alpha)
+            result = maximize(pair, 1.0)
+            allowance = 8 * EPS * abs(float(np.sum(sigma_objective(pair) * result.best_R1)))
+            assert result.certified_gap == allowance, alpha
+            assert result.lower_bound_D == result.achieved_D - allowance, alpha
+            assert result.lower_bound_D <= curve_disturbance_reference(mpmath, alpha, 1.0), alpha
+            assert result.achieved_D == pytest.approx(tradeoff_point(alpha, 1.0).D, abs=1e-12)
 
     @pytest.mark.parametrize("alpha", CERTIFICATE_ALPHAS)
     def test_certificate_brackets_closed_form(self, alpha):

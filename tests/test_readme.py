@@ -1,5 +1,6 @@
 """README's examples run (every `qtradeoff` line of its shell blocks, and its Python block),
 and its module list is the package's public surface."""
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -37,9 +38,9 @@ def test_python_example_runs():
 # names that other modules of the package use; they are listed here, so that
 # a new name is either documented or declared internal.
 INTERNAL = {
-    "qubit": {"ATOL_ALGEBRAIC", "HERMITIAN_ATOL", "is_hermitian", "validate_state"},
-    "instruments": {"COMPLETENESS_ATOL", "cell_tables"},
-    "choi": {"PSD_ATOL", "TRACE_PRESERVING_ATOL"},
+    "qubit": {"ATOL_ALGEBRAIC", "OPERATOR_ATOL", "is_hermitian", "validate_state"},
+    "instruments": {"cell_tables"},
+    "choi": set(),
     "tradeoff": {"NormalizedPoint", "check_alpha", "check_t", "curve_dist", "kraus_entries"},
     "oracle": {"FEASIBILITY_ATOL", "SUPEROPTIMALITY_TOL", "VerificationPoint"},
     "simulate": {"MAX_SHOTS"},
@@ -57,10 +58,12 @@ def _documented_modules() -> dict[str, set[str]]:
 
 
 def _defined_here(module) -> set[str]:
-    """Public names a module defines itself, not the ones it imports."""
+    """Public names a module defines itself, not the ones it imports (constants included)."""
+    imported = {alias.asname or alias.name for node in ast.parse(inspect.getsource(module)).body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
     return {name for name, value in vars(module).items()
-            if not name.startswith("_") and not isinstance(value, types.ModuleType)
-            and getattr(value, "__module__", module.__name__) == module.__name__}
+            if not name.startswith("_") and name not in imported
+            and not isinstance(value, types.ModuleType)}
 
 
 def test_public_names_are_documented():
