@@ -11,8 +11,7 @@ _EXPORTS = {
     "qubit": ("ID2", "SIGMA_X", "SIGMA_XX", "SIGMA_Z", "StatePair", "projector",
               "symmetric_pair", "tensor"),
     "instruments": ("Ensemble", "Instrument", "disturbance", "povm", "success_probability"),
-    "choi": ("OMEGA", "choi_apply", "choi_functionals", "choi_to_kraus", "kraus_to_choi",
-             "partial_trace_first", "partial_trace_second", "symmetrize"),
+    "choi": ("OMEGA", "choi_functionals", "kraus_to_choi", "partial_trace_first", "symmetrize"),
     "tradeoff": ("TradeoffPoint", "helstrom_min_disturbance", "helstrom_probability",
                  "no_feedback_instrument", "normalized", "optimal_instrument", "optimal_tilt",
                  "tilt_disturbance", "tilt_t", "tradeoff_identity_residual", "tradeoff_point"),

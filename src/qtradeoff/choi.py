@@ -14,7 +14,7 @@ from operator import add, mul
 
 import numpy as np
 
-from .qubit import ID2, OPERATOR_ATOL, SIGMA_XX, StatePair, is_hermitian, tensor
+from .qubit import OPERATOR_ATOL, SIGMA_XX, StatePair
 
 OMEGA = np.array([1, 0, 0, 1], dtype=complex)
 OMEGA.setflags(write=False)
@@ -38,32 +38,12 @@ def kraus_to_choi(kraus_ops) -> np.ndarray:
     return r
 
 
-def choi_apply(r: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Apply the map encoded by a Choi operator: M(rho) = Tr_2[(1 (x) rho*) R]."""
-    r = np.asarray(r, dtype=complex)
-    rho = np.asarray(rho, dtype=complex)
-    if r.shape != (4, 4) or rho.shape != (2, 2):
-        raise ValueError("choi_apply expects a 4x4 Choi operator and a 2x2 matrix")
-    if not is_hermitian(rho):
-        raise ValueError("rho must be Hermitian")
-    m = tensor(ID2, rho.conj()) @ r
-    return partial_trace_second(m)
-
-
 def partial_trace_first(r: np.ndarray) -> np.ndarray:
     """Trace over the first (output) factor: out[j,l] = sum_i R[2i+j, 2i+l]."""
     r = np.asarray(r, dtype=complex)
     if r.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {r.shape}")
     return np.einsum("ikil->kl", r.reshape(2, 2, 2, 2))
-
-
-def partial_trace_second(r: np.ndarray) -> np.ndarray:
-    """Trace over the second (input) factor: out[i,j] = sum_k R[2i+k, 2j+k]."""
-    r = np.asarray(r, dtype=complex)
-    if r.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got shape {r.shape}")
-    return np.einsum("ikjk->ij", r.reshape(2, 2, 2, 2))
 
 
 def symmetrize(r1: np.ndarray, r2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -120,22 +100,3 @@ def _quadratic_form(v, m) -> float:
     """Re <v| M |v>, for M given row-major as a flat list of complex scalars."""
     return sum(map(mul, [x.conjugate() * y for x in v for y in v], m)).real
 
-
-def choi_to_kraus(r: np.ndarray) -> list[np.ndarray]:
-    """Kraus operators of a Choi operator via Hermitian eigendecomposition.
-
-    Eigenvalues in [-OPERATOR_ATOL, 0) are clamped to zero (numerical PSD
-    drift); more negative ones raise.
-    """
-    r = np.asarray(r, dtype=complex)
-    if r.shape != (4, 4) or not is_hermitian(r):
-        raise ValueError("Choi operator must be a 4x4 Hermitian matrix")
-    vals, vecs = np.linalg.eigh(0.5 * (r + r.conj().T))
-    if vals[0] < -OPERATOR_ATOL:
-        raise ValueError(f"Choi operator is not PSD: min eigenvalue {vals[0]!r}")
-    ops = []
-    for lam, v in zip(vals, vecs.T):
-        if lam <= 0.0:
-            continue
-        ops.append(np.sqrt(lam) * v.reshape(2, 2))
-    return ops

@@ -29,10 +29,10 @@ from .tradeoff import (
 )
 
 CURVE_COLUMNS = ("alpha", "t", "P", "D", "beta_t", "info", "dist", "identity_residual")
-# Largest --points accepted, so that the worst accepted call ends in under
-# about 30 s and 1 GiB. On a 2-core VM, curve --format json at the cap took
-# 4.3 s and 16 MiB peak RSS (its rows are streamed, so memory no longer sets
-# this cap; time does), and verify at the cap 28 s and 0.5 GiB.
+# Largest --points accepted. curve at its cap ends in under about 30 s: on a
+# 2-core VM, --format json took 4.3 s and 16 MiB peak RSS (rows are streamed).
+# verify at its cap took 60 s and 521 MiB on a 2-core Xeon VM (Python 3.11.7,
+# numpy 2.4.6); ROADMAP item 11 re-derives that cap from measured time.
 MAX_CURVE_POINTS = 250_000
 MAX_VERIFY_POINTS = 200_000
 # Rows joined into one write: each write is a system call on unbuffered stdout.
@@ -275,7 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
             ("--points", dict(type=int, default=5,
                               help=f"uniform t grid size on [0, 1], 1 to {MAX_VERIFY_POINTS} (default 5)")),
             ("--tol", dict(type=float, default=1e-4,
-                           help="pass threshold on |D_oracle - D_closed| (default 1e-4)")))
+                           help="pass threshold on |D_oracle - D_closed| (default 1e-4); a point "
+                                "also needs the oracle's constraint residuals within 1e-6")))
     command("simulate", cmd_simulate, "Monte Carlo run of the optimal instrument",
             ("--t", dict(type=float, required=True, help="control parameter in [0, 1]")),
             ("--shots", dict(type=int, default=1000000,

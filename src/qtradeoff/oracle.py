@@ -237,9 +237,9 @@ class VerificationReport:
 def verify_closed_form(pair: StatePair, t_grid, tol: float = 1e-4) -> VerificationReport:
     """Run the oracle over a t grid and compare with the closed-form curve.
 
-    A point passes when |D_oracle - D_t| <= tol. The report also certifies that
-    the oracle never lands below the closed form by more than
-    SUPEROPTIMALITY_TOL (the closed form is a true lower bound on disturbance).
+    A point passes when |D_oracle - D_t| <= tol and every constraint residual
+    is <= FEASIBILITY_ATOL. The report also certifies that the oracle never
+    lands more than SUPEROPTIMALITY_TOL below D_t, a true lower bound on D.
     """
     t_grid = [float(t) for t in t_grid]
     if not t_grid:

@@ -15,8 +15,8 @@ from .tradeoff import check_alpha
 # few operations: the state norm, StatePair's geometry, Ensemble's prior sum.
 ATOL_ALGEBRAIC = 1e-12
 # Entrywise identities on operators that callers pass in, which come from
-# products and eigendecompositions: Hermiticity, Kraus completeness, Choi trace
-# preservation, and the eigenvalue floor of choi_to_kraus.
+# products and eigendecompositions: Hermiticity, Kraus completeness and Choi
+# trace preservation.
 OPERATOR_ATOL = 1e-10
 
 ID2 = np.eye(2, dtype=complex)

@@ -28,6 +28,8 @@ class SimulationConfig:
     seed: int
 
     def __post_init__(self):
+        if isinstance(self.shots, bool) or isinstance(self.seed, bool):
+            raise ValueError(f"shots and seed must be integers, not bool: {self.shots!r}, {self.seed!r}")
         if not isinstance(self.shots, (int, np.integer)) or not 1 <= self.shots <= MAX_SHOTS:
             raise ValueError(f"shots must be an integer in [1, 2**63 - 1], got {self.shots!r}")
         if not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed < 2 ** 64:

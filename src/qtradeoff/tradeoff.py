@@ -185,10 +185,12 @@ def curve_dist(alpha: float, t: float) -> float:
 def normalized(alpha: float, p: float, d: float) -> NormalizedPoint:
     """Rescale (P, D) by the t = 1 optimum: info = (P - 1/2)/(P_opt - 1/2), dist = D/D_opt.
 
-    Undefined (0/0) at a = 0 and a = pi/4, and inaccurate where D_opt is
-    subnormal (a below about 1.5e-154); those raise, while curve_dist does not.
+    Raises at a = 0 and a = pi/4 (0/0), where D_opt is subnormal (a below about
+    1.5e-154, where curve_dist stays accurate) and when p or d is not finite.
     """
     alpha = check_alpha(alpha)
+    if not (math.isfinite(p) and math.isfinite(d)):
+        raise ValueError(f"P and D must be finite, got {p!r} and {d!r}")
     d_opt = helstrom_min_disturbance(alpha)
     if d_opt < sys.float_info.min or alpha == math.pi / 4:
         raise ValueError(f"normalization is undefined at alpha {alpha!r}: "

@@ -19,12 +19,6 @@ def random_state(rng):
     return v / np.linalg.norm(v)
 
 
-def random_density(rng):
-    g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
-
-
 def random_hermitian(rng, dim):
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return 0.5 * (g + g.conj().T)

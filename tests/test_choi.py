@@ -1,4 +1,4 @@
-"""Choi representation: conversions, partial traces, symmetrization, functionals."""
+"""Choi representation: Kraus to Choi, the output partial trace, symmetrization, functionals."""
 import math
 
 import numpy as np
@@ -9,14 +9,11 @@ from qtradeoff import (
     ID2,
     Instrument,
     SIGMA_XX,
-    choi_apply,
     choi_functionals,
-    choi_to_kraus,
     disturbance,
     kraus_to_choi,
     optimal_instrument,
     partial_trace_first,
-    partial_trace_second,
     projector,
     success_probability,
     symmetric_pair,
@@ -25,7 +22,7 @@ from qtradeoff import (
 from qtradeoff.choi import OMEGA
 from qtradeoff.qubit import OPERATOR_ATOL
 
-from conftest import random_density, random_instrument, random_state
+from conftest import random_instrument
 
 OMEGA_PROJ = np.outer(OMEGA, OMEGA.conj())
 
@@ -62,49 +59,9 @@ class TestKrausToChoi:
             kraus_to_choi([])
 
 
-class TestChoiApply:
-    def test_identity_choi_acts_trivially(self, rng):
-        for _ in range(5):
-            rho = random_density(rng)
-            np.testing.assert_allclose(choi_apply(OMEGA_PROJ, rho), rho, atol=1e-12)
-
-    def test_projector_map_weight(self):
-        pair = symmetric_pair(math.pi / 8)
-        r = kraus_to_choi([np.diag([1, 0]).astype(complex)])
-        out = choi_apply(r, projector(pair.psi1))
-        np.testing.assert_allclose(out, math.cos(math.pi / 8) ** 2 * np.diag([1, 0]), atol=1e-12)
-
-    def test_round_trip_matches_kraus_action(self, rng):
-        for _ in range(20):
-            inst = random_instrument(rng, kraus_counts=(2, 1))
-            rho = random_density(rng)
-            for ops in inst.outcomes:
-                direct = sum(e @ rho @ e.conj().T for e in ops)
-                np.testing.assert_allclose(choi_apply(kraus_to_choi(ops), rho), direct, atol=1e-10)
-
-    def test_round_trip_on_matrix_units(self, rng):
-        # spanning set: the map is pinned by its action on the four matrix units
-        inst = random_instrument(rng, kraus_counts=(1, 2))
-        ops = inst.outcomes[1]
-        r = kraus_to_choi(ops)
-        for i in range(2):
-            for j in range(2):
-                unit = np.zeros((2, 2), dtype=complex)
-                unit[i, j] = 1.0
-                hermitian_pair = (unit + unit.conj().T, 1j * (unit - unit.conj().T))
-                for h in hermitian_pair:
-                    direct = sum(e @ h @ e.conj().T for e in ops)
-                    np.testing.assert_allclose(choi_apply(r, h), direct, atol=1e-10)
-
-    def test_rejects_non_hermitian_rho(self):
-        with pytest.raises(ValueError):
-            choi_apply(OMEGA_PROJ, np.array([[0, 1], [0, 0]], dtype=complex))
-
-
 class TestPartialTraces:
     def test_omega_marginals(self):
         np.testing.assert_allclose(partial_trace_first(OMEGA_PROJ), ID2, atol=1e-15)
-        np.testing.assert_allclose(partial_trace_second(OMEGA_PROJ), ID2, atol=1e-15)
 
     @pytest.mark.parametrize("t", [0.2, 0.5, 1.0])
     def test_first_outcome_marginal_is_transposed_povm(self, t):
@@ -220,40 +177,3 @@ class TestChoiFunctionals:
             with pytest.raises(ValueError, match="trace preserving"):
                 choi_functionals(r, r, symmetric_pair(0.3))
 
-
-class TestChoiToKraus:
-    def test_reconstructs_choi(self, rng):
-        inst = random_instrument(rng, kraus_counts=(2, 2))
-        r1, _ = instrument_chois(inst)
-        ops = choi_to_kraus(r1)
-        np.testing.assert_allclose(kraus_to_choi(ops), r1, atol=1e-10)
-
-    def test_psd_choi_gives_cp_map(self, rng):
-        # random PSD operator, marginal-normalized to trace preservation, must
-        # map states to positive outputs after Kraus extraction
-        for _ in range(10):
-            g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-            r = g @ g.conj().T
-            marginal = partial_trace_first(r)
-            vals, vecs = np.linalg.eigh(marginal)
-            fix = (vecs / np.sqrt(vals)) @ vecs.conj().T
-            r = np.kron(ID2, fix) @ r @ np.kron(ID2, fix).conj().T
-            ops = choi_to_kraus(r)
-            for _ in range(5):
-                rho = random_density(rng)
-                out = sum(e @ rho @ e.conj().T for e in ops)
-                assert np.linalg.eigvalsh(out)[0] >= -1e-9
-
-    def test_clamps_small_negative_eigenvalues(self):
-        r = OMEGA_PROJ - 5e-11 * np.eye(4)
-        ops = choi_to_kraus(r)
-        np.testing.assert_allclose(kraus_to_choi(ops), OMEGA_PROJ, atol=1e-9)
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(ValueError):
-            choi_to_kraus(np.diag([1.0, 1.0, 1.0, -0.5]).astype(complex))
-
-    def test_single_kraus_for_pure_map(self):
-        pair_ops = choi_to_kraus(kraus_to_choi([ID2]))
-        assert len(pair_ops) == 1
-        np.testing.assert_allclose(np.abs(pair_ops[0]), ID2, atol=1e-12)

@@ -1,4 +1,5 @@
 """Command line behavior: formats, exit codes, determinism, degenerate inputs."""
+import dataclasses
 import json
 import math
 import os
@@ -11,6 +12,7 @@ import pytest
 
 import qtradeoff
 from qtradeoff import cli
+from qtradeoff import oracle as oracle_module
 from qtradeoff.cli import CURVE_COLUMNS, MAX_CURVE_POINTS, MAX_VERIFY_POINTS, main
 from qtradeoff.tradeoff import curve_dist, tradeoff_identity_residual, tradeoff_point
 
@@ -282,6 +284,17 @@ class TestVerify:
         code, out, _ = run_cli(capsys, ["verify", "--fsq", "0.5", "--points", "3"])
         assert code == 1
         assert json.loads(out)["all_passed"] is False
+
+    def test_infeasible_oracle_point_exits_one(self, capsys, monkeypatch):
+        # a point passes only if its residuals, too, are within FEASIBILITY_ATOL (1e-6)
+        exact = oracle_module.maximize
+        monkeypatch.setattr(oracle_module, "maximize", lambda pair, t: dataclasses.replace(
+            exact(pair, t), constraint_residuals=(0.0, 2e-6, 0.0, 0.0)))
+        code, out, _ = run_cli(capsys, ["verify", "--fsq", "0.5", "--points", "3"])
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["all_passed"] is False and payload["max_gap"] <= payload["tolerance"]
+        assert [(p["max_residual"], p["passed"]) for p in payload["points"]] == [(2e-6, False)] * 3
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
     def test_invalid_tolerance_is_usage_error(self, tol, capsys):

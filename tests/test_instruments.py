@@ -10,7 +10,6 @@ from qtradeoff import (
     Instrument,
     StatePair,
     choi_functionals,
-    choi_to_kraus,
     disturbance,
     kraus_to_choi,
     optimal_instrument,
@@ -295,18 +294,6 @@ class TestDisturbanceAccuracy:
             assert abs(mpmath.mpf(d_choi) - reference) <= 2 * EPS, t
 
 
-def _random_choi_instrument(rng):
-    """Two-outcome instrument from random PSD Choi operators, up to four Kraus operators each."""
-    chois = []
-    for _ in range(2):
-        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        chois.append(g @ g.conj().T)
-    vals, vecs = np.linalg.eigh(partial_trace_first(chois[0] + chois[1]))
-    fix = np.kron(ID2, (vecs / np.sqrt(vals)) @ vecs.conj().T)
-    chois = [fix @ r @ fix.conj().T for r in chois]
-    return Instrument(outcomes=tuple(tuple(choi_to_kraus(r)) for r in chois)), chois
-
-
 def _random_ensemble(rng):
     prior = float(rng.uniform(0.05, 0.95))
     return Ensemble(priors=(prior, 1.0 - prior), states=(random_state(rng), random_state(rng)))
@@ -318,7 +305,7 @@ class TestScalarFunctionalsMatchNumpyExpressions:
     @staticmethod
     def _cases(rng):
         for _ in range(12):
-            yield _random_choi_instrument(rng)[0], _random_ensemble(rng)
+            yield random_instrument(rng, kraus_counts=(4, 4)), _random_ensemble(rng)
             yield random_instrument(rng, kraus_counts=(3, 2)), _random_ensemble(rng)
 
     def test_povm_success_probability_and_disturbance(self, rng):
@@ -352,7 +339,8 @@ class TestScalarFunctionalsMatchNumpyExpressions:
 
     def test_choi_functionals(self, rng):
         for k in range(12):
-            _, (r1, r2) = _random_choi_instrument(rng)
+            inst = random_instrument(rng, kraus_counts=(4, 4))
+            r1, r2 = (kraus_to_choi(ops) for ops in inst.outcomes)
             alpha = float(rng.uniform(0.0, math.pi / 4))
             pair = symmetric_pair(alpha)
             if k % 2:

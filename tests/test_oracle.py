@@ -305,6 +305,8 @@ class TestVerifyClosedForm:
         shift_closed_form(monkeypatch, 1e-3)
         report = verify_closed_form(symmetric_pair(PI8), [0.5])
         assert report.all_passed is False
+        # the oracle lands 1e-3 below the shifted closed form
+        assert report.no_superoptimality is False
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
     def test_invalid_tolerance_rejected(self, tol):

@@ -29,12 +29,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             SimulationConfig(shots=0, seed=1)
 
-    @pytest.mark.parametrize("shots", [MAX_SHOTS + 1, 10**20, 1.5, 1e6, "10"])
+    @pytest.mark.parametrize("shots", [MAX_SHOTS + 1, 10**20, 1.5, 1e6, "10", True])
     def test_shots_must_be_an_int64_count(self, shots):
         with pytest.raises(ValueError):
             SimulationConfig(shots=shots, seed=1)
 
-    @pytest.mark.parametrize("seed", [-1, 2**64, 1.7, 1.0, "1"])
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.7, 1.0, "1", True, False])
     def test_seed_must_fit_in_uint64(self, seed):
         with pytest.raises(ValueError):
             SimulationConfig(shots=10, seed=seed)

@@ -265,6 +265,13 @@ class TestNormalized:
         with pytest.raises(ValueError):
             normalized(alpha, 0.7, 0.01)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("which", ["P", "D"])
+    def test_non_finite_input_rejected(self, which, bad):
+        p, d = (bad, 0.01) if which == "P" else (0.7, bad)
+        with pytest.raises(ValueError, match="finite"):
+            normalized(PI8, p, d)
+
 
 class TestIdentityResidual:
     def test_zero_on_optimal_curve(self):
