@@ -13,8 +13,8 @@ _EXPORTS = {
     "instruments": ("Ensemble", "Instrument", "disturbance", "povm", "success_probability"),
     "choi": ("OMEGA", "choi_functionals", "kraus_to_choi", "partial_trace_first", "symmetrize"),
     "tradeoff": ("TradeoffPoint", "helstrom_min_disturbance", "helstrom_probability",
-                 "no_feedback_instrument", "normalized", "optimal_instrument", "optimal_tilt",
-                 "tilt_disturbance", "tilt_t", "tradeoff_identity_residual", "tradeoff_point"),
+                 "no_feedback_instrument", "normalized", "optimal_instrument", "tilt_disturbance",
+                 "tilt_t", "tradeoff_identity_residual", "tradeoff_point"),
     "oracle": ("OracleConfig", "OracleResult", "VerificationReport", "constraint_residuals",
                "maximize", "sigma_objective", "verify_closed_form"),
     "simulate": ("RNG_ALGORITHM", "SimulationConfig", "SimulationResult", "run"),

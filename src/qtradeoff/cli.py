@@ -19,18 +19,12 @@ from collections.abc import Iterable, Iterator
 from itertools import islice
 
 from . import __version__
-from .tradeoff import (
-    TradeoffPoint,
-    curve_dist,
-    kraus_entries,
-    optimal_instrument,
-    tradeoff_identity_residual,
-    tradeoff_point,
-)
+from .tradeoff import _curve_rows, _gamma, kraus_entries, optimal_instrument, tradeoff_point
 
 CURVE_COLUMNS = ("alpha", "t", "P", "D", "beta_t", "info", "dist", "identity_residual")
+_POINT_COLUMNS = (*CURVE_COLUMNS[:5], "gamma", *CURVE_COLUMNS[5:])
 # Largest --points accepted. curve at its cap ends in under about 30 s: on a
-# 2-core VM, --format json took 4.3 s and 16 MiB peak RSS (rows are streamed).
+# 2-core Xeon VM, --format json took 2.8-4.8 s and 17 MiB peak RSS (rows are streamed).
 # verify at its cap took 60 s and 521 MiB on a 2-core Xeon VM (Python 3.11.7,
 # numpy 2.4.6); ROADMAP item 11 re-derives that cap from measured time.
 MAX_CURVE_POINTS = 250_000
@@ -133,51 +127,24 @@ def _resolve_alpha(args) -> float:
     return alpha
 
 
-def _is_degenerate(alpha: float) -> bool:
-    return alpha == 0.0 or alpha == math.pi / 4
-
-
-def _normalized_or_none(alpha: float, pt: TradeoffPoint):
-    # On the curve info = t exactly; (P - 1/2)/(P_opt - 1/2) cancels as a -> pi/4.
-    if _is_degenerate(alpha):
-        return None, None, None
-    dist = curve_dist(alpha, pt.t)
-    return pt.t, dist, tradeoff_identity_residual(alpha, pt.t, dist)
-
-
-def _curve_row(alpha: float, t: float) -> tuple:
-    pt = tradeoff_point(alpha, t)
-    return (pt.alpha, pt.t, pt.P, pt.D, pt.beta_t, *_normalized_or_none(alpha, pt))
-
-
 def cmd_curve(args) -> tuple[Iterator[str], int]:
     alpha = _resolve_alpha(args)
     _check_points(args.points, 2, MAX_CURVE_POINTS)
-    if _is_degenerate(alpha):
+    if alpha == 0.0 or alpha == math.pi / 4:
         print("warning: normalization is undefined at alpha in {0, pi/4}; "
               "info/dist/identity_residual columns are left blank", file=sys.stderr)
-    rows = (_curve_row(alpha, t) for t in _t_grid(args.points))
-    return _curve_text(alpha, rows, args.format), 0
+    return _curve_text(alpha, _curve_rows(alpha, _t_grid(args.points)), args.format), 0
 
 
 def cmd_point(args) -> tuple[tuple[str], int]:
-    alpha = _resolve_alpha(args)
-    pt = tradeoff_point(alpha, args.t)
-    info, dist, resid = _normalized_or_none(alpha, pt)
-    kraus = kraus_entries(pt.t, pt.beta_t)
+    (row,) = _curve_rows(_resolve_alpha(args), (args.t,))
+    t, beta_t = row[1], row[4]
+    fields = dict(zip(_POINT_COLUMNS, (*row[:5], _gamma(t), *row[5:])))
     # The feedback rotation cancels in E^T E, so the POVM is exactly diagonal at every alpha.
-    hi, lo = (1.0 + pt.t) / 2.0, (1.0 - pt.t) / 2.0
+    hi, lo = (1.0 + t) / 2.0, (1.0 - t) / 2.0
     return _json(
-        alpha=pt.alpha,
-        t=pt.t,
-        P=pt.P,
-        D=pt.D,
-        beta_t=pt.beta_t,
-        gamma=pt.gamma,
-        info=info,
-        dist=dist,
-        identity_residual=resid,
-        kraus=[_matrix_json(e) for e in kraus],
+        **fields,
+        kraus=[_matrix_json(e) for e in kraus_entries(t, beta_t)],
         povm=[_matrix_json(((hi, 0.0), (0.0, lo))), _matrix_json(((lo, 0.0), (0.0, hi)))],
     ), 0
 

@@ -241,11 +241,10 @@ def verify_closed_form(pair: StatePair, t_grid, tol: float = 1e-4) -> Verificati
     is <= FEASIBILITY_ATOL. The report also certifies that the oracle never
     lands more than SUPEROPTIMALITY_TOL below D_t, a true lower bound on D.
     """
-    t_grid = [float(t) for t in t_grid]
+    t_grid = [check_t(t) for t in t_grid]
     if not t_grid:
         raise ValueError("t grid must be nonempty")
-    tol = float(tol)
-    if not (math.isfinite(tol) and tol > 0.0):
+    if isinstance(tol, (bool, str)) or not (math.isfinite(tol := float(tol)) and tol > 0.0):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
     points = []
     for t in t_grid:

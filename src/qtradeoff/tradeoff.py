@@ -8,7 +8,12 @@ disturbing feedback.
 
 On the optimal curve D_t = (1 - sqrt(1 - s^2))/2 with s = (sin 4a / 2)(1 -
 sqrt(1 - t^2)). Both differences 1 - sqrt(1 - x^2) are evaluated as
-x^2 / (1 + sqrt(1 - x^2)), which does not cancel as x -> 0.
+x^2 / (1 + sqrt(1 - x^2)), which does not cancel as x -> 0. Each closed form
+is written once, as a private function of t, gamma = sqrt(1 - t^2) and
+alpha-only terms: sin4, sin2, cos2 (sin 4a, sin 2a, cos 2a), s = sin4 / 2 (the
+curve's s at t = 1), q = 1 + sqrt(1 - s^2), p_opt and d_opt. A public function
+validates its input once and computes the terms it needs; a curve computes
+them once per alpha.
 
 The module uses the standard library's math only, so that the CLI's curve and
 point commands run without importing numpy. The instrument builders import
@@ -19,28 +24,45 @@ from __future__ import annotations
 import math
 import sys
 from collections import namedtuple
+from collections.abc import Iterable, Iterator
 
 # A real 2x2 matrix as rows: ((m00, m01), (m10, m11)).
 _Matrix = tuple[tuple[float, float], tuple[float, float]]
 # How far tradeoff_identity_residual lets info and dist overshoot [0, 1], by
 # round-off in ratios computed from the curve, before it clamps them.
 _RATIO_OVERSHOOT = 1e-9
+_PI_4 = math.pi / 4
+
+
+def _as_float(x, name: str) -> float:
+    """x as a float, refusing the bools and strings that float() would convert."""
+    if isinstance(x, (bool, str)):
+        raise ValueError(f"{name} must be a real number, got {x!r}")
+    return float(x)
 
 
 def check_alpha(alpha: float) -> float:
-    """The half-angle as a float; raises ValueError outside [0, pi/4] (NaN included)."""
-    alpha = float(alpha)
-    if not 0.0 <= alpha <= math.pi / 4:
+    """The half-angle as a float; ValueError outside [0, pi/4], for NaN, and for bool or str."""
+    alpha = alpha if type(alpha) is float else _as_float(alpha, "alpha")
+    if not 0.0 <= alpha <= _PI_4:
         raise ValueError(f"alpha must lie in [0, pi/4], got {alpha!r}")
     return alpha
 
 
 def check_t(t: float) -> float:
-    """The control parameter as a float; raises ValueError outside [0, 1] (NaN included)."""
-    t = float(t)
+    """The control parameter as a float; ValueError outside [0, 1], for NaN, and for bool or str."""
+    t = t if type(t) is float else _as_float(t, "t")
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t must lie in [0, 1], got {t!r}")
     return t
+
+
+def _unit_interval(x: float, name: str) -> float:
+    """x clamped to [0, 1]; raises ValueError where it overshoots by more than _RATIO_OVERSHOOT."""
+    x = float(x)
+    if not -_RATIO_OVERSHOOT <= x <= 1.0 + _RATIO_OVERSHOOT:
+        raise ValueError(f"{name} must lie in [0, 1], got {x!r}")
+    return min(max(x, 0.0), 1.0)
 
 
 def _gamma(t: float) -> float:
@@ -49,23 +71,38 @@ def _gamma(t: float) -> float:
 
 
 def _curve_disturbance(s: float) -> float:
-    """The root (1 - sqrt(1 - s^2))/2 of D (1 - D) = s^2/4, for s in [0, 1/2]."""
+    """The root (1 - sqrt(1 - s^2))/2 of D (1 - D) = s^2/4; D_opt at s = sin 4a / 2."""
     return s * s / (2.0 * (1.0 + math.sqrt(1.0 - s * s)))
+
+
+def _p_opt(alpha: float) -> float:
+    return math.cos(alpha) ** 2
+
+
+def _tilt(t: float, gamma: float, sin2: float, cos2: float) -> float:
+    return 0.5 * math.atan2(t * sin2, cos2 ** 2 + gamma * sin2 ** 2)
+
+
+def _point(t: float, gamma: float, p_opt: float, sin4: float, sin2: float, cos2: float) -> tuple:
+    """(P_t, D_t, beta_t)."""
+    return (t * p_opt + (1.0 - t) / 2.0, _curve_disturbance(sin4 * t * t / (2.0 * (1.0 + gamma))),
+            _tilt(t, gamma, sin2, cos2))
+
+
+def _dist(t: float, gamma: float, s: float, q: float) -> float:
+    r = t * t / (1.0 + gamma)
+    return r * r * q / (1.0 + math.sqrt(1.0 - (r * s) ** 2))
+
+
+def _residual(info: float, dist: float, s: float, q: float, d_opt: float) -> float:
+    # sqrt(D_opt) = s / sqrt(2 q); D_opt is subnormal below a ~ 1.5e-154.
+    lhs = s / math.sqrt(2.0 * q) * math.sqrt(dist * (1.0 - d_opt * dist))
+    return lhs - (s / 2.0) * info * info / (1.0 + _gamma(info))
 
 
 def helstrom_probability(alpha: float) -> float:
     """Maximum achievable success probability cos^2 a."""
-    return math.cos(check_alpha(alpha)) ** 2
-
-
-def optimal_tilt(alpha: float) -> float:
-    """Feedback tilt minimizing the disturbance of the minimum-error measurement.
-
-    Solves tan 2b = tan 2a / cos 2a on the branch 2b in [0, pi/2]; b >= a. At
-    a = pi/4 both sides are infinite and atan2 returns the limit b = pi/4.
-    """
-    alpha = check_alpha(alpha)
-    return 0.5 * math.atan2(math.tan(2.0 * alpha), math.cos(2.0 * alpha))
+    return _p_opt(check_alpha(alpha))
 
 
 def tilt_disturbance(alpha: float, beta: float) -> float:
@@ -76,8 +113,9 @@ def tilt_disturbance(alpha: float, beta: float) -> float:
     cancel as D -> 0.
     """
     alpha = check_alpha(alpha)
-    beta = float(beta)
-    return (math.cos(alpha) ** 2 * math.sin(beta - alpha) ** 2
+    if isinstance(beta, bool) or not math.isfinite(beta):
+        raise ValueError(f"beta must be finite, got {beta!r}")
+    return (_p_opt(alpha) * math.sin(beta - alpha) ** 2
             + math.sin(alpha) ** 2 * math.cos(alpha + beta) ** 2)
 
 
@@ -94,14 +132,12 @@ def tilt_t(alpha: float, t: float) -> float:
     """Feedback tilt of the optimal instrument at control parameter t.
 
     tan 2b_t = t sin 2a / (cos^2 2a + g sin^2 2a) with g = sqrt(1 - t^2), on the
-    branch 2b_t in [0, pi/2]. At t = 1 this reduces to optimal_tilt; at the
-    corner a = pi/4, t = 1 the denominator vanishes and atan2 returns pi/4.
+    branch 2b_t in [0, pi/2]. At t = 1 it is the least disturbing tilt, tan 2b =
+    tan 2a / cos 2a; at the corner a = pi/4, t = 1 atan2 returns pi/4.
     """
     alpha = check_alpha(alpha)
     t = check_t(t)
-    num = t * math.sin(2.0 * alpha)
-    den = math.cos(2.0 * alpha) ** 2 + _gamma(t) * math.sin(2.0 * alpha) ** 2
-    return 0.5 * math.atan2(num, den)
+    return _tilt(t, _gamma(t), math.sin(2.0 * alpha), math.cos(2.0 * alpha))
 
 
 def kraus_entries(t: float, beta: float) -> tuple[_Matrix, _Matrix]:
@@ -123,16 +159,15 @@ def kraus_entries(t: float, beta: float) -> tuple[_Matrix, _Matrix]:
 def optimal_instrument(alpha: float, t: float) -> Instrument:
     """The pure two-outcome instrument achieving the optimal tradeoff at (a, t).
 
-    E_1 = U(t) (sqrt(1-g)/2 sz + sqrt(1+g)/2 1) and E_2 = U(t)† (-sqrt(1-g)/2 sz
-    + sqrt(1+g)/2 1) with g = sqrt(1-t^2) and U(t) the feedback rotation by the
-    tilt of tilt_t. t = 0 gives the identity channel with a uniformly random
-    outcome, t = 1 the measure-and-prepare minimum-error instrument.
+    Its Kraus operators are kraus_entries at the tilt of tilt_t. t = 0 gives the
+    identity channel with a uniformly random outcome, t = 1 the
+    measure-and-prepare minimum-error instrument.
     """
     from .instruments import Instrument
 
     alpha = check_alpha(alpha)
     t = check_t(t)
-    e1, e2 = kraus_entries(t, tilt_t(alpha, t))
+    e1, e2 = kraus_entries(t, _tilt(t, _gamma(t), math.sin(2.0 * alpha), math.cos(2.0 * alpha)))
     return Instrument(outcomes=((e1,), (e2,)))
 
 
@@ -166,9 +201,8 @@ def tradeoff_point(alpha: float, t: float) -> TradeoffPoint:
     alpha = check_alpha(alpha)
     t = check_t(t)
     gamma = _gamma(t)
-    p = t * math.cos(alpha) ** 2 + (1.0 - t) / 2.0
-    d = _curve_disturbance(math.sin(4.0 * alpha) * t * t / (2.0 * (1.0 + gamma)))
-    return TradeoffPoint(alpha=alpha, t=t, P=p, D=d, beta_t=tilt_t(alpha, t), gamma=gamma)
+    return TradeoffPoint(alpha, t, *_point(t, gamma, _p_opt(alpha), math.sin(4.0 * alpha),
+                                           math.sin(2.0 * alpha), math.cos(2.0 * alpha)), gamma)
 
 
 def curve_dist(alpha: float, t: float) -> float:
@@ -177,9 +211,8 @@ def curve_dist(alpha: float, t: float) -> float:
     r^2 (1 + sqrt(1 - s^2)) / (1 + sqrt(1 - r^2 s^2)) with r = t^2/(1 + g) and
     s = sin 4a / 2 never divides by D_opt, which underflows below a ~ 1e-162.
     """
-    r = t * t / (1.0 + _gamma(t))
     s = math.sin(4.0 * alpha) / 2.0
-    return r * r * (1.0 + math.sqrt(1.0 - s * s)) / (1.0 + math.sqrt(1.0 - (r * s) ** 2))
+    return _dist(t, _gamma(t), s, 1.0 + math.sqrt(1.0 - s * s))
 
 
 def normalized(alpha: float, p: float, d: float) -> NormalizedPoint:
@@ -191,12 +224,11 @@ def normalized(alpha: float, p: float, d: float) -> NormalizedPoint:
     alpha = check_alpha(alpha)
     if not (math.isfinite(p) and math.isfinite(d)):
         raise ValueError(f"P and D must be finite, got {p!r} and {d!r}")
-    d_opt = helstrom_min_disturbance(alpha)
-    if d_opt < sys.float_info.min or alpha == math.pi / 4:
+    d_opt = _curve_disturbance(math.sin(4.0 * alpha) / 2.0)
+    if d_opt < sys.float_info.min or alpha == _PI_4:
         raise ValueError(f"normalization is undefined at alpha {alpha!r}: "
                          "alpha in {0, pi/4}, or D_opt is subnormal")
-    p_opt = helstrom_probability(alpha)
-    return NormalizedPoint(info=float((p - 0.5) / (p_opt - 0.5)), dist=float(d / d_opt))
+    return NormalizedPoint(float((p - 0.5) / (_p_opt(alpha) - 0.5)), float(d / d_opt))
 
 
 def tradeoff_identity_residual(alpha: float, info: float, dist: float) -> float:
@@ -206,19 +238,32 @@ def tradeoff_identity_residual(alpha: float, info: float, dist: float) -> float:
     zero on the optimal curve and strictly positive for suboptimal instruments.
     """
     alpha = check_alpha(alpha)
-    if alpha == 0.0 or alpha == math.pi / 4:
+    if alpha == 0.0 or alpha == _PI_4:
         raise ValueError("identity residual requires 0 < alpha < pi/4")
-    def _unit_interval(x, name):
-        x = float(x)
-        if not -_RATIO_OVERSHOOT <= x <= 1.0 + _RATIO_OVERSHOOT:
-            raise ValueError(f"{name} must lie in [0, 1], got {x!r}")
-        return min(max(x, 0.0), 1.0)
-
     info = _unit_interval(info, "info")
     dist = _unit_interval(dist, "dist")
     s = math.sin(4.0 * alpha) / 2.0
-    d = _curve_disturbance(s) * dist
-    # sqrt(D_opt) = s / sqrt(2 (1 + sqrt(1 - s^2))); D_opt is subnormal below a ~ 1.5e-154.
-    lhs = s / math.sqrt(2.0 * (1.0 + math.sqrt(1.0 - s * s))) * math.sqrt(dist * (1.0 - d))
-    rhs = (math.sin(4.0 * alpha) / 4.0) * info * info / (1.0 + _gamma(info))
-    return lhs - rhs
+    return _residual(info, dist, s, 1.0 + math.sqrt(1.0 - s * s), _curve_disturbance(s))
+
+
+def _curve_rows(alpha: float, ts: Iterable[float]) -> Iterator[tuple]:
+    """Rows (alpha, t, P, D, beta_t, info, dist, identity_residual) of the curve, one per t.
+
+    On the curve info = t. info, dist and the residual are None at a in
+    {0, pi/4}, where the normalization is undefined.
+    """
+    alpha = check_alpha(alpha)
+    p_opt, sin2, cos2 = _p_opt(alpha), math.sin(2.0 * alpha), math.cos(2.0 * alpha)
+    sin4 = math.sin(4.0 * alpha)
+    s = sin4 / 2.0
+    q, d_opt = 1.0 + math.sqrt(1.0 - s * s), _curve_disturbance(s)
+    degenerate = alpha == 0.0 or alpha == _PI_4
+    for t in ts:
+        t = check_t(t)
+        gamma = _gamma(t)
+        row = (alpha, t, *_point(t, gamma, p_opt, sin4, sin2, cos2))
+        if degenerate:
+            yield row + (None, None, None)
+        else:
+            dist = _dist(t, gamma, s, q)
+            yield row + (t, dist, _residual(t, _unit_interval(dist, "dist"), s, q, d_opt))

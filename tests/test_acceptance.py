@@ -18,7 +18,6 @@ from qtradeoff import (
     no_feedback_instrument,
     normalized,
     optimal_instrument,
-    optimal_tilt,
     povm,
     run,
     success_probability,
@@ -48,7 +47,9 @@ def test_criterion_01_helstrom_endpoint():
 
 def test_criterion_02_tilt_consistency():
     grid = np.linspace(0.0, math.pi / 4, 102)[1:-1]
-    worst = max(abs(tilt_t(a, 1.0) - optimal_tilt(a)) for a in grid)
+    # The paper's minimum-disturbance tilt: tan 2b = tan 2a / cos 2a, 2b in [0, pi/2].
+    worst = max(abs(tilt_t(a, 1.0) - 0.5 * math.atan(math.tan(2 * a) / math.cos(2 * a)))
+                for a in grid)
     _record("criterion 2 (tilt at t=1 equals minimum-disturbance tilt)",
             worst <= 1e-12, f"max deviation over 100 angles = {worst:.2e} (tol 1e-12)")
 

@@ -180,6 +180,23 @@ class TestCurve:
         assert code == 0 and err == ""
         assert (target.read_text() if to_file else out) == expected[fmt]
 
+    # JSON floats round-trip exactly, so each row is the library's own values.
+    @pytest.mark.parametrize("inputs", [["--alpha", "1e-170"], ["--alpha", "1e-8"],
+                                        ["--alpha", "0.39"], ["--alpha", repr(math.pi / 4 - 1e-12)],
+                                        ["--fsq", "0.5"]])
+    def test_rows_are_the_library_values(self, inputs, capsys):
+        code, out, _ = run_cli(capsys, ["curve", *inputs, "--points", "257", "--format", "json"])
+        assert code == 0
+        payload = json.loads(out)
+        alpha, rows = payload["alpha"], payload["points"]
+        assert (rows[0]["t"], rows[-1]["t"]) == (0.0, 1.0)
+        for row in rows:
+            pt = tradeoff_point(alpha, row["t"])
+            dist = curve_dist(alpha, pt.t)
+            expected = dict(zip(CURVE_COLUMNS, (*pt[:5], pt.t, dist,
+                                                tradeoff_identity_residual(alpha, pt.t, dist))))
+            assert row == expected, row["t"]
+
     @pytest.mark.parametrize("points", ["1", str(MAX_CURVE_POINTS + 1)])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_points_outside_the_range_write_nothing(self, points, fmt, capsys, tmp_path):
@@ -249,6 +266,19 @@ class TestPoint:
             assert abs(payload["alpha"] - alpha) <= EPS * alpha
             bound = 1e-14 + 2 * EPS / float(mpmath.pi / 4 - alpha)
             assert abs(payload["D"] - reference) <= bound * reference
+
+    @pytest.mark.parametrize("inputs", [["--alpha", "1e-170"], ["--alpha", "1e-8"],
+                                        ["--alpha", "0.39"], ["--alpha", repr(math.pi / 4 - 1e-12)],
+                                        ["--fsq", "0.5"]])
+    def test_values_are_the_library_values(self, inputs, capsys):
+        for t in (0.0, 1e-8, 0.5, 1.0 - 1e-13, 1.0):
+            _, out, _ = run_cli(capsys, ["point", *inputs, "--t", repr(t)])
+            payload = json.loads(out)
+            pt = tradeoff_point(payload["alpha"], t)
+            assert [payload[k] for k in ("t", "P", "D", "beta_t", "gamma")] == list(pt[1:]), t
+            assert payload["dist"] == curve_dist(pt.alpha, t), t
+            assert payload["identity_residual"] == tradeoff_identity_residual(
+                pt.alpha, t, payload["dist"]), t
 
     def test_degenerate_alpha_keeps_point_but_nulls_normalization(self, capsys):
         code, out, _ = run_cli(capsys, ["point", "--fsq", "1", "--t", "0.5"])

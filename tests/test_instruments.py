@@ -13,12 +13,12 @@ from qtradeoff import (
     disturbance,
     kraus_to_choi,
     optimal_instrument,
-    optimal_tilt,
     partial_trace_first,
     povm,
     projector,
     success_probability,
     symmetric_pair,
+    tilt_t,
 )
 from qtradeoff.instruments import cell_tables
 from qtradeoff.qubit import validate_state
@@ -139,7 +139,7 @@ class TestOptimalInstrument:
         out = e @ projector(pair.psi1) @ e.conj().T
         p = np.trace(out).real
         assert p == pytest.approx(COS2_PI8, abs=1e-12)
-        beta = optimal_tilt(math.pi / 8)
+        beta = tilt_t(math.pi / 8, 1.0)
         expected = projector(np.array([math.cos(beta), math.sin(beta)], dtype=complex))
         np.testing.assert_allclose(out / p, expected, atol=1e-12)
 
@@ -218,7 +218,7 @@ class TestDisturbance:
         # checked on the measure-and-prepare form E_j = |tilted_j><j|
         alpha = 0.3
         pair = symmetric_pair(alpha)
-        beta = optimal_tilt(alpha)
+        beta = tilt_t(alpha, 1.0)
         t1 = np.array([math.cos(beta), math.sin(beta)], dtype=complex)
         t2 = np.array([math.sin(beta), math.cos(beta)], dtype=complex)
         e1 = np.outer(t1, [1, 0])

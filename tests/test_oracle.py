@@ -244,8 +244,7 @@ class TestMaximize:
         def forbidden(*args, **kwargs):
             raise AssertionError("the oracle consulted a closed form")
 
-        for name in ("tradeoff_point", "helstrom_min_disturbance", "optimal_instrument",
-                     "optimal_tilt", "tilt_t"):
+        for name in ("tradeoff_point", "helstrom_min_disturbance", "optimal_instrument", "tilt_t"):
             monkeypatch.setattr(tradeoff_module, name, forbidden)
         monkeypatch.setattr(oracle_module, "tradeoff_point", forbidden)
         for t in (0.0, 0.5, 0.999, 1.0):
@@ -308,10 +307,17 @@ class TestVerifyClosedForm:
         # the oracle lands 1e-3 below the shifted closed form
         assert report.no_superoptimality is False
 
-    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    # float() would take True as 1.0 and "1e-4" as a number.
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf, True, "1e-4"])
     def test_invalid_tolerance_rejected(self, tol):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^tol must be finite and positive"):
             verify_closed_form(symmetric_pair(PI8), [0.5], tol=tol)
+
+    # Each grid value reaches check_t as given: True is not t = 1.
+    @pytest.mark.parametrize("t", [True, False, "0.5", 1.5, math.nan])
+    def test_invalid_grid_value_rejected(self, t):
+        with pytest.raises(ValueError, match="^t must"):
+            verify_closed_form(symmetric_pair(PI8), [0.5, t])
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):

@@ -14,7 +14,6 @@ from qtradeoff import (
     kraus_to_choi,
     maximize,
     optimal_instrument,
-    optimal_tilt,
     symmetric_pair,
     tilt_t,
     tradeoff_point,
@@ -47,7 +46,7 @@ def _closed_form_references(alpha, t):
             "helstrom_probability": mpmath.cos(a) ** 2,
             "helstrom_min_disturbance": d_opt,
             # tan 2b = tan 2a / cos 2a, with both sides multiplied by cos 2a >= 0.
-            "optimal_tilt": mpmath.atan2(s2, c2 ** 2) / 2,
+            "tilt_at_full_strength": mpmath.atan2(s2, c2 ** 2) / 2,
             "tilt_t": beta_t,
             "dist": d_t / d_opt if alpha > 0 else None,
         }
@@ -73,7 +72,7 @@ def test_closed_forms_against_mpmath(alpha, t):
         "P": pt.P, "D": pt.D, "beta_t": pt.beta_t, "gamma": pt.gamma,
         "helstrom_probability": helstrom_probability(alpha),
         "helstrom_min_disturbance": helstrom_min_disturbance(alpha),
-        "optimal_tilt": optimal_tilt(alpha),
+        "tilt_at_full_strength": tilt_t(alpha, 1.0),
         "tilt_t": tilt_t(alpha, t),
         "dist": curve_dist(alpha, t),
     }

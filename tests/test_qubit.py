@@ -44,9 +44,10 @@ class TestSymmetricPair:
         pair = symmetric_pair(0.3)
         np.testing.assert_allclose(SIGMA_X @ pair.psi1, pair.psi2, atol=1e-15)
 
-    @pytest.mark.parametrize("alpha", [-0.1, math.pi / 4 + 1e-6, 1.0])
+    # float() would take False as the alpha = 0 pair and parse "0.3".
+    @pytest.mark.parametrize("alpha", [-0.1, math.pi / 4 + 1e-6, 1.0, True, False, "0.3"])
     def test_domain_error(self, alpha):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^alpha must"):
             symmetric_pair(alpha)
 
     def test_manual_construction_checks_geometry(self):

@@ -12,7 +12,6 @@ from qtradeoff import (
     no_feedback_instrument,
     normalized,
     optimal_instrument,
-    optimal_tilt,
     povm,
     success_probability,
     symmetric_pair,
@@ -42,21 +41,18 @@ class TestHelstromProbability:
             helstrom_probability(-0.2)
 
 
+# The minimum-disturbance tilt of the minimum-error measurement, tilt_t at t = 1;
+# its limit at a = pi/4 is TestTiltT.test_degenerate_corner_warns.
 class TestOptimalTilt:
     def test_orthogonal_states_need_no_tilt(self):
-        assert optimal_tilt(0.0) == 0.0
+        assert tilt_t(0.0, 1.0) == 0.0
 
     def test_unbiased_value(self):
-        assert optimal_tilt(PI8) == pytest.approx(math.atan(math.sqrt(2)) / 2, abs=1e-14)
+        assert tilt_t(PI8, 1.0) == pytest.approx(math.atan(math.sqrt(2)) / 2, abs=1e-14)
 
     def test_tilt_never_below_alpha(self):
         for alpha in np.linspace(0.0, math.pi / 4 - 1e-9, 60):
-            assert optimal_tilt(alpha) >= alpha - 1e-12
-
-    def test_degenerate_limit_warns(self):
-        # no special case and no warning: arctan2 returns the pi/4 limit itself
-        for alpha in NEAR_PI4:
-            assert optimal_tilt(alpha) == math.pi / 4
+            assert tilt_t(alpha, 1.0) >= alpha - 1e-12
 
 
 class TestTiltDisturbance:
@@ -66,9 +62,9 @@ class TestTiltDisturbance:
         assert tilt_disturbance(PI8, PI8) == pytest.approx(expected, abs=1e-15)
         assert expected == pytest.approx(0.07322330470336316, abs=1e-12)
 
-    def test_optimal_tilt_attains_minimum(self):
+    def test_full_strength_tilt_attains_minimum(self):
         for alpha in (0.1, PI8, 0.5):
-            beta = optimal_tilt(alpha)
+            beta = tilt_t(alpha, 1.0)
             d_star = tilt_disturbance(alpha, beta)
             assert d_star == pytest.approx(helstrom_min_disturbance(alpha), abs=1e-12)
             for other in np.linspace(beta - 0.2, beta + 0.2, 21):
@@ -77,10 +73,15 @@ class TestTiltDisturbance:
     def test_zero_angle(self):
         assert tilt_disturbance(0.0, 0.0) == 0.0
 
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf, True, False])
+    def test_non_finite_tilt_rejected(self, beta):
+        with pytest.raises(ValueError, match="^beta must be finite"):
+            tilt_disturbance(0.3, beta)
+
     @pytest.mark.parametrize("alpha", [1e-8, 1e-6, 1e-4, 0.1, 0.5, 0.78, 0.785])
     def test_relative_accuracy_against_mpmath(self, alpha):
         mpmath = pytest.importorskip("mpmath")
-        beta = optimal_tilt(alpha)
+        beta = tilt_t(alpha, 1.0)
         with mpmath.workdps(50):
             a, b = mpmath.mpf(alpha), mpmath.mpf(beta)
             reference = 1 - mpmath.cos(a) ** 2 * mpmath.cos(b - a) ** 2 - mpmath.sin(a) ** 2 * mpmath.sin(a + b) ** 2
@@ -115,9 +116,11 @@ class TestTiltT:
     def test_no_measurement_no_tilt(self):
         assert tilt_t(0.3, 0.0) == 0.0
 
-    def test_full_strength_reduces_to_optimal_tilt(self):
+    def test_full_strength_solves_the_tilt_equation(self):
+        # tan 2b = tan 2a / cos 2a on the branch 2b in [0, pi/2]
         for alpha in np.linspace(1e-4, math.pi / 4 - 1e-4, 100):
-            assert abs(tilt_t(alpha, 1.0) - optimal_tilt(alpha)) <= 1e-12
+            expected = 0.5 * math.atan(math.tan(2 * alpha) / math.cos(2 * alpha))
+            assert abs(tilt_t(alpha, 1.0) - expected) <= 1e-12
 
     def test_half_strength_value(self):
         # tan 2b = (1/2) sin(pi/4) / (cos^2(pi/4) + sqrt(3)/2 sin^2(pi/4))
@@ -144,7 +147,7 @@ class TestOptimalInstrument:
 
     def test_full_strength_is_measure_and_prepare(self):
         inst = optimal_instrument(PI8, 1.0)
-        beta = optimal_tilt(PI8)
+        beta = tilt_t(PI8, 1.0)
         tilted1 = np.array([math.cos(beta), math.sin(beta)])
         tilted2 = np.array([math.sin(beta), math.cos(beta)])
         np.testing.assert_allclose(inst.outcomes[0][0], np.outer(tilted1, [1, 0]), atol=1e-12)
@@ -175,6 +178,17 @@ class TestOptimalInstrument:
 
 
 class TestTradeoffPoint:
+    # float() would take the bools as 0 and 1 and parse the strings; every
+    # message starts with the parameter's name, which the CLI maps to its flag.
+    @pytest.mark.parametrize("alpha, t, name", [
+        (True, 0.5, "alpha"), (False, 0.5, "alpha"), ("0.3", 0.5, "alpha"), (-0.1, 0.5, "alpha"),
+        (0.3, True, "t"), (0.3, False, "t"), (0.3, "0.5", "t"), (0.3, math.nan, "t"),
+    ])
+    def test_domain(self, alpha, t, name):
+        for func in (tradeoff_point, tilt_t, optimal_instrument):
+            with pytest.raises(ValueError, match=f"^{name} must"):
+                func(alpha, t)
+
     def test_no_measurement_endpoint(self):
         pt = tradeoff_point(0.37, 0.0)
         assert (pt.P, pt.D) == (0.5, 0.0)
@@ -308,5 +322,20 @@ class TestIdentityResidual:
     def test_out_of_range_arguments(self):
         with pytest.raises(ValueError):
             tradeoff_identity_residual(PI8, 1.2, 0.5)
-        with pytest.raises(ValueError):
-            tradeoff_identity_residual(0.0, 0.5, 0.5)
+        for alpha in (0.0, math.pi / 4):
+            with pytest.raises(ValueError, match="0 < alpha < pi/4"):
+                tradeoff_identity_residual(alpha, 0.5, 0.5)
+        # Overshoot by half of _RATIO_OVERSHOOT (1e-9) is clamped and by twice
+        # it is rejected; literals, so that they pin its value. The other
+        # argument is 0, so that the clamped one decides the residual.
+        half, twice = 0.5e-9, 2e-9
+        for value, clamped in ((-half, 0.0), (1.0 + half, 1.0)):
+            assert (tradeoff_identity_residual(PI8, value, 0.0)
+                    == tradeoff_identity_residual(PI8, clamped, 0.0))
+            assert (tradeoff_identity_residual(PI8, 0.0, value)
+                    == tradeoff_identity_residual(PI8, 0.0, clamped))
+        for value in (-twice, 1.0 + twice):
+            with pytest.raises(ValueError, match="^info must"):
+                tradeoff_identity_residual(PI8, value, 0.0)
+            with pytest.raises(ValueError, match="^dist must"):
+                tradeoff_identity_residual(PI8, 0.0, value)
