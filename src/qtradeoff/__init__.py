@@ -8,7 +8,7 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "qubit": ("ID2", "SIGMA_X", "SIGMA_XX", "SIGMA_Z", "StatePair", "projector",
+    "qubit": ("ID2", "SIGMA_X", "SIGMA_XX", "SIGMA_Z", "projector",
               "symmetric_pair", "tensor"),
     "instruments": ("Ensemble", "Instrument", "disturbance", "povm", "success_probability"),
     "choi": ("OMEGA", "choi_functionals", "kraus_to_choi", "partial_trace_first", "symmetrize"),

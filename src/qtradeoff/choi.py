@@ -14,7 +14,8 @@ from operator import add, mul
 
 import numpy as np
 
-from .qubit import OPERATOR_ATOL, SIGMA_XX, StatePair
+from .instruments import Ensemble
+from .qubit import OPERATOR_ATOL, SIGMA_XX
 
 OMEGA = np.array([1, 0, 0, 1], dtype=complex)
 OMEGA.setflags(write=False)
@@ -60,12 +61,12 @@ def symmetrize(r1: np.ndarray, r2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s1, s2
 
 
-def choi_functionals(r1: np.ndarray, r2: np.ndarray, pair: StatePair) -> tuple[float, float]:
+def choi_functionals(r1: np.ndarray, r2: np.ndarray, ens: Ensemble) -> tuple[float, float]:
     """Success probability and disturbance of an instrument given as Choi operators.
 
-    P = (1/2) sum_i Tr[(1 (x) |psi_i><psi_i|*) R_i] and
-    D = (1/2) sum_i Tr[(|psi_i^perp><psi_i^perp| (x) |psi_i><psi_i|*) (R_1 + R_2)],
-    for the equiprobable pair: the weight the channel R_1 + R_2 moves off each
+    P = sum_i p_i Tr[(1 (x) |psi_i><psi_i|*) R_i] and
+    D = sum_i p_i Tr[(|psi_i^perp><psi_i^perp| (x) |psi_i><psi_i|*) (R_1 + R_2)],
+    over a two-state ensemble: the weight the channel R_1 + R_2 moves off each
     state, which equals one minus the fidelity because Tr_1[R_1 + R_2] = 1.
     Both traces are evaluated as quadratic forms, with c = psi_i* and
     q = psi_i^perp: Tr[(1 (x) |c><c|) R] = <c| Tr_1 R |c> and
@@ -78,6 +79,8 @@ def choi_functionals(r1: np.ndarray, r2: np.ndarray, pair: StatePair) -> tuple[f
     r1, r2 = np.asarray(r1, dtype=complex), np.asarray(r2, dtype=complex)
     if r1.shape != (4, 4) or r2.shape != (4, 4):
         raise ValueError(f"expected two 4x4 matrices, got shapes {r1.shape} and {r2.shape}")
+    if len(ens.states) != 2:
+        raise ValueError(f"ens must hold two states, one per outcome, got {len(ens.states)}")
     r1, r2 = r1.ravel().tolist(), r2.ravel().tolist()
     total = list(map(add, r1, r2))
     # Tr_1[R][k][l] sums flat entries 4k + l and 4k + l + 10; all() fails on NaN, max() may not.
@@ -85,10 +88,10 @@ def choi_functionals(r1: np.ndarray, r2: np.ndarray, pair: StatePair) -> tuple[f
                for i, one in zip((0, 1, 4, 5), (1.0, 0.0, 0.0, 1.0))):
         raise ValueError("R1 + R2 is not trace preserving within tolerance")
     p = d = 0.0
-    for psi, r in zip((pair.psi1, pair.psi2), (r1, r2)):
-        c = psi.conj().tolist()
-        p += 0.5 * _quadratic_form(c, [r[i] + r[i + 10] for i in (0, 1, 4, 5)])
-        d += 0.5 * _quadratic_form([x * y for x in (-c[1], c[0]) for y in c], total)
+    for prior, psi, r in zip(ens.priors, ens._states, (r1, r2)):
+        c = [x.conjugate() for x in psi]
+        p += prior * _quadratic_form(c, [r[i] + r[i + 10] for i in (0, 1, 4, 5)])
+        d += prior * _quadratic_form([x * y for x in (-c[1], c[0]) for y in c], total)
     # D's form multiplies every entry of R1 + R2 by a finite coefficient, and
     # 0 * inf and 0 * nan are NaN, so a non-finite entry of R1 or R2 makes D non-finite.
     if not (math.isfinite(p) and math.isfinite(d)):

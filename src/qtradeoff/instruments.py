@@ -6,11 +6,13 @@ to a trace-preserving channel.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .qubit import ATOL_ALGEBRAIC, OPERATOR_ATOL, StatePair, validate_state
+from .qubit import ATOL_ALGEBRAIC, OPERATOR_ATOL
+from .tradeoff import _as_float, check_alpha
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,13 +60,19 @@ class Instrument:
 
 @dataclass(frozen=True, eq=False)
 class Ensemble:
-    """Pure states with prior probabilities summing to one."""
+    """Pure qubit states with prior probabilities summing to one.
+
+    alpha, when given, is the half-angle of a symmetric pair: states[1] is the
+    component exchange of states[0], and <psi1|psi2> = sin 2a. Every identity
+    is checked within ATOL_ALGEBRAIC on the plain entries, so that NaN fails.
+    """
 
     priors: tuple[float, ...]
     states: tuple[np.ndarray, ...]
+    alpha: float | None = None
 
     def __post_init__(self):
-        priors = tuple(float(p) for p in self.priors)
+        priors = tuple(_as_float(p, "priors") for p in self.priors)
         states = tuple(np.asarray(s, dtype=complex) for s in self.states)
         if len(priors) != len(states):
             raise ValueError("priors and states must have matching lengths")
@@ -73,16 +81,32 @@ class Ensemble:
         if not abs(sum(priors) - 1.0) <= ATOL_ALGEBRAIC:
             raise ValueError(f"priors must sum to 1, got {sum(priors)!r}")
         for s in states:
-            validate_state(s)
+            if s.shape != (2,):
+                raise ValueError(f"states must be 2-component vectors, got shape {s.shape}")
             s.setflags(write=False)
+        entries = tuple(s.tolist() for s in states)
+        for a, b in entries:
+            norm2 = (a.conjugate() * a + b.conjugate() * b).real
+            if not abs(norm2 - 1.0) <= ATOL_ALGEBRAIC:
+                raise ValueError(f"states must be normalized, got |psi|^2 = {norm2!r}")
+        if self.alpha is not None:
+            alpha = check_alpha(self.alpha)
+            if len(entries) != 2:
+                raise ValueError(f"alpha requires a pair of states, got {len(entries)}")
+            (a1, b1), (a2, b2) = entries
+            if not (abs(b1 - a2) <= ATOL_ALGEBRAIC and abs(a1 - b2) <= ATOL_ALGEBRAIC):
+                raise ValueError("alpha requires states[1] to be the component exchange of states[0]")
+            if not abs(a1.conjugate() * a2 + b1.conjugate() * b2 - math.sin(2.0 * alpha)) <= ATOL_ALGEBRAIC:
+                raise ValueError("alpha does not match the overlap: <psi1|psi2> != sin(2 alpha)")
+            object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "priors", priors)
         object.__setattr__(self, "states", states)
-        object.__setattr__(self, "_states", tuple(s.tolist() for s in states))
+        object.__setattr__(self, "_states", entries)
 
     @classmethod
-    def equal_pair(cls, pair: StatePair) -> "Ensemble":
-        """Equiprobable ensemble {1/2, psi1; 1/2, psi2}."""
-        return cls(priors=(0.5, 0.5), states=(pair.psi1.copy(), pair.psi2.copy()))
+    def equal_pair(cls, ens: "Ensemble") -> "Ensemble":
+        """The equal-prior ensemble {1/2, psi1; 1/2, psi2} over ens's two states, keeping its alpha."""
+        return cls(priors=(0.5, 0.5), states=ens.states, alpha=ens.alpha)
 
 
 def povm(inst: Instrument) -> list[np.ndarray]:

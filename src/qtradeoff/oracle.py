@@ -47,8 +47,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .choi import OMEGA
-from .qubit import ID2, SIGMA_X, SIGMA_Z, StatePair, is_hermitian, projector, tensor
-from .tradeoff import check_t, tradeoff_point
+from .instruments import Ensemble
+from .qubit import ID2, SIGMA_X, SIGMA_Z, is_hermitian, projector, tensor
+from .tradeoff import _as_float, check_t, tradeoff_point
 
 FEASIBILITY_ATOL = 1e-6
 SUPEROPTIMALITY_TOL = 1e-5
@@ -57,12 +58,11 @@ SUPEROPTIMALITY_TOL = 1e-5
 _DUAL_OPS = np.stack([tensor(ID2, SIGMA_X).real, tensor(ID2, SIGMA_Z).real])
 # The two components of O(2), Q = cos(th) A + sin(th) B: rotations, then reflections.
 _CIRCLES = ((ID2.real, np.array([[0.0, -1.0], [1.0, 0.0]])), (SIGMA_Z.real, SIGMA_X.real))
-_EPS = np.finfo(float).eps
 # Forming M(y), its eigh and the sum lambda_max + t y2 each round by a small
 # multiple of eps * max|lambda| (measured up to 1.75 against 40-digit mpmath),
 # which near t = 1 (|y| ~ 1e5) reaches 1e-11. The dual value is raised by this
 # allowance so that it stays a proven upper bound on Tr[Sigma R1].
-_DUAL_ROUNDING = 8.0 * _EPS
+_DUAL_ROUNDING = 8.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -94,20 +94,30 @@ class OracleResult:
     constraint_residuals: tuple[float, float, float, float]
 
 
-def sigma_objective(pair: StatePair) -> np.ndarray:
+def _symmetric_alpha(ens: Ensemble) -> float:
+    """ens.alpha; ValueError unless ens is a symmetric pair with priors (0.5, 0.5)."""
+    if ens.alpha is None:
+        raise ValueError("oracle requires a symmetric pair: the ensemble's alpha is None")
+    if ens.priors != (0.5, 0.5):
+        raise ValueError(f"oracle requires equal priors (0.5, 0.5), got {ens.priors!r}")
+    return ens.alpha
+
+
+def sigma_objective(ens: Ensemble) -> np.ndarray:
     """Objective operator Sigma = sum_i |psi_i><psi_i| (x) |psi_i><psi_i|*.
 
     Real symmetric, PSD, trace 2; 1 - Tr[Sigma R1] is the disturbance of the
     symmetrized instrument with first-outcome Choi operator R1. The projectors
-    of a StatePair are real (a global phase cancels), so each is its own
+    of a symmetric pair are real (a global phase cancels), so each is its own
     conjugate; the real part of their complex tensor product is the real
     product bit for bit.
     """
-    return sum(tensor(p, p).real for p in (projector(pair.psi1).real, projector(pair.psi2).real))
+    _symmetric_alpha(ens)
+    return sum(tensor(p, p).real for p in (projector(psi).real for psi in ens.states))
 
 
-def constraint_residuals(r1: np.ndarray, pair: StatePair, t: float) -> tuple[float, float, float, float]:
-    """Residuals of the four linear conditions at (pair, t).
+def constraint_residuals(r1: np.ndarray, ens: Ensemble, t: float) -> tuple[float, float, float, float]:
+    """Residuals of the four linear conditions at (ens, t), for the symmetric equal-prior pair.
 
     Returns (psd deficit, Tr[R1] - 1, Tr[(1 (x) sx) R1], Tr[(1 (x) sz) R1] - t);
     the psd deficit is the amount by which the smallest eigenvalue dips below
@@ -115,7 +125,7 @@ def constraint_residuals(r1: np.ndarray, pair: StatePair, t: float) -> tuple[flo
     division degenerates at a = pi/4, which is rejected. R1 must be a 4x4
     Hermitian matrix; a real one is evaluated in real arithmetic.
     """
-    if float(pair.alpha) == np.pi / 4:
+    if _symmetric_alpha(ens) == np.pi / 4:
         raise ValueError("constraints degenerate at alpha = pi/4 (cos 2a = 0)")
     r1 = np.asarray(r1)
     if r1.shape != (4, 4) or not is_hermitian(r1):
@@ -163,22 +173,21 @@ def _kkt_dual(sig: np.ndarray, w: np.ndarray, t: float):
     return _certified_dual(_spectrum(sig, y)[0], y, t)
 
 
-def maximize(pair: StatePair, t: float, cfg: OracleConfig | None = None) -> OracleResult:
+def maximize(ens: Ensemble, t: float, cfg: OracleConfig | None = None) -> OracleResult:
     """Maximize Tr[Sigma R1] over the constraint set; achieved_D = 1 - best objective.
 
     Deterministic: identical arguments give bit-identical results. cfg is
     accepted and ignored. Never consults the closed forms in `tradeoff`.
     """
-    alpha = float(pair.alpha)
-    if not 0.0 < alpha < np.pi / 4:
+    if not 0.0 < _symmetric_alpha(ens) < np.pi / 4:
         raise ValueError("oracle requires alpha strictly inside (0, pi/4)")
     t = check_t(t)
-    sig = sigma_objective(pair)
+    sig = sigma_objective(ens)
 
     if t == 0.0:
         # Exact: Sigma - <psi1|psi2> (1 (x) sx) <= 1, so this y certifies R1.
         r1 = np.outer(OMEGA, OMEGA).real / 2.0
-        y = (float(np.vdot(pair.psi1, pair.psi2).real), 0.0)
+        y = (float(np.vdot(*ens.states).real), 0.0)
         duals = [_certified_dual(_spectrum(sig, y)[0], y, t)]
     else:
         maxima = _circle_maxima(sig, t)
@@ -188,7 +197,7 @@ def maximize(pair: StatePair, t: float, cfg: OracleConfig | None = None) -> Orac
         duals = [_kkt_dual(sig, u, t) for _, u in maxima] if t < 1.0 else []
     objective = float(np.sum(sig * r1))
     achieved = 1.0 - objective
-    residuals = constraint_residuals(r1, pair, t)
+    residuals = constraint_residuals(r1, ens, t)
     if duals:
         dual, y, lam_max = min(duals, key=lambda d: d[0])
         lower = 1.0 - dual
@@ -234,22 +243,23 @@ class VerificationReport:
         return payload
 
 
-def verify_closed_form(pair: StatePair, t_grid, tol: float = 1e-4) -> VerificationReport:
+def verify_closed_form(ens: Ensemble, t_grid, tol: float = 1e-4) -> VerificationReport:
     """Run the oracle over a t grid and compare with the closed-form curve.
 
     A point passes when |D_oracle - D_t| <= tol and every constraint residual
     is <= FEASIBILITY_ATOL. The report also certifies that the oracle never
     lands more than SUPEROPTIMALITY_TOL below D_t, a true lower bound on D.
     """
+    alpha = _symmetric_alpha(ens)
     t_grid = [check_t(t) for t in t_grid]
     if not t_grid:
         raise ValueError("t grid must be nonempty")
-    if isinstance(tol, (bool, str)) or not (math.isfinite(tol := float(tol)) and tol > 0.0):
+    if not (math.isfinite(tol := _as_float(tol, "tol")) and tol > 0.0):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
     points = []
     for t in t_grid:
-        result = maximize(pair, t)
-        closed = tradeoff_point(pair.alpha, t).D
+        result = maximize(ens, t)
+        closed = tradeoff_point(alpha, t).D
         gap = abs(result.achieved_D - closed)
         max_res = float(np.max(np.abs(result.constraint_residuals)))
         points.append(VerificationPoint(
@@ -264,7 +274,7 @@ def verify_closed_form(pair: StatePair, t_grid, tol: float = 1e-4) -> Verificati
         ))
     margin = max(0.0, max(p.closed_D - p.oracle_D for p in points))
     return VerificationReport(
-        alpha=float(pair.alpha),
+        alpha=alpha,
         tolerance=tol,
         points=tuple(points),
         max_gap=max(p.gap for p in points),

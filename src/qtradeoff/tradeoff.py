@@ -35,14 +35,21 @@ _PI_4 = math.pi / 4
 
 
 def _as_float(x, name: str) -> float:
-    """x as a float, refusing the bools and strings that float() would convert."""
-    if isinstance(x, (bool, str)):
+    """x as a float; ValueError naming it unless x is a numbers.Real other than a bool.
+
+    numbers is imported past the float fast path, so that the CLI's closed forms do not load it.
+    """
+    if type(x) is float:
+        return x
+    import numbers
+
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {x!r}")
     return float(x)
 
 
 def check_alpha(alpha: float) -> float:
-    """The half-angle as a float; ValueError outside [0, pi/4], for NaN, and for bool or str."""
+    """The half-angle as a float; ValueError outside [0, pi/4], for NaN and what _as_float refuses."""
     alpha = alpha if type(alpha) is float else _as_float(alpha, "alpha")
     if not 0.0 <= alpha <= _PI_4:
         raise ValueError(f"alpha must lie in [0, pi/4], got {alpha!r}")
@@ -50,7 +57,7 @@ def check_alpha(alpha: float) -> float:
 
 
 def check_t(t: float) -> float:
-    """The control parameter as a float; ValueError outside [0, 1], for NaN, and for bool or str."""
+    """The control parameter as a float; ValueError outside [0, 1], for NaN and what _as_float refuses."""
     t = t if type(t) is float else _as_float(t, "t")
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t must lie in [0, 1], got {t!r}")
@@ -59,7 +66,7 @@ def check_t(t: float) -> float:
 
 def _unit_interval(x: float, name: str) -> float:
     """x clamped to [0, 1]; raises ValueError where it overshoots by more than _RATIO_OVERSHOOT."""
-    x = float(x)
+    x = _as_float(x, name)
     if not -_RATIO_OVERSHOOT <= x <= 1.0 + _RATIO_OVERSHOOT:
         raise ValueError(f"{name} must lie in [0, 1], got {x!r}")
     return min(max(x, 0.0), 1.0)
@@ -113,7 +120,7 @@ def tilt_disturbance(alpha: float, beta: float) -> float:
     cancel as D -> 0.
     """
     alpha = check_alpha(alpha)
-    if isinstance(beta, bool) or not math.isfinite(beta):
+    if not math.isfinite(beta := _as_float(beta, "beta")):
         raise ValueError(f"beta must be finite, got {beta!r}")
     return (_p_opt(alpha) * math.sin(beta - alpha) ** 2
             + math.sin(alpha) ** 2 * math.cos(alpha + beta) ** 2)
@@ -165,9 +172,8 @@ def optimal_instrument(alpha: float, t: float) -> Instrument:
     """
     from .instruments import Instrument
 
-    alpha = check_alpha(alpha)
-    t = check_t(t)
-    e1, e2 = kraus_entries(t, _tilt(t, _gamma(t), math.sin(2.0 * alpha), math.cos(2.0 * alpha)))
+    beta = tilt_t(alpha, t)
+    e1, e2 = kraus_entries(check_t(t), beta)
     return Instrument(outcomes=((e1,), (e2,)))
 
 
@@ -205,30 +211,22 @@ def tradeoff_point(alpha: float, t: float) -> TradeoffPoint:
                                            math.sin(2.0 * alpha), math.cos(2.0 * alpha)), gamma)
 
 
-def curve_dist(alpha: float, t: float) -> float:
-    """dist = D_t / D_opt on the optimal curve, for valid alpha and t.
-
-    r^2 (1 + sqrt(1 - s^2)) / (1 + sqrt(1 - r^2 s^2)) with r = t^2/(1 + g) and
-    s = sin 4a / 2 never divides by D_opt, which underflows below a ~ 1e-162.
-    """
-    s = math.sin(4.0 * alpha) / 2.0
-    return _dist(t, _gamma(t), s, 1.0 + math.sqrt(1.0 - s * s))
-
-
 def normalized(alpha: float, p: float, d: float) -> NormalizedPoint:
     """Rescale (P, D) by the t = 1 optimum: info = (P - 1/2)/(P_opt - 1/2), dist = D/D_opt.
 
     Raises at a = 0 and a = pi/4 (0/0), where D_opt is subnormal (a below about
-    1.5e-154, where curve_dist stays accurate) and when p or d is not finite.
+    1.5e-154, where the curve's dist stays accurate) and when p or d is not finite.
     """
     alpha = check_alpha(alpha)
+    p = p if type(p) is float else _as_float(p, "p")
+    d = d if type(d) is float else _as_float(d, "d")
     if not (math.isfinite(p) and math.isfinite(d)):
-        raise ValueError(f"P and D must be finite, got {p!r} and {d!r}")
+        raise ValueError(f"p and d must be finite, got {p!r} and {d!r}")
     d_opt = _curve_disturbance(math.sin(4.0 * alpha) / 2.0)
     if d_opt < sys.float_info.min or alpha == _PI_4:
         raise ValueError(f"normalization is undefined at alpha {alpha!r}: "
                          "alpha in {0, pi/4}, or D_opt is subnormal")
-    return NormalizedPoint(float((p - 0.5) / (_p_opt(alpha) - 0.5)), float(d / d_opt))
+    return NormalizedPoint((p - 0.5) / (_p_opt(alpha) - 0.5), d / d_opt)
 
 
 def tradeoff_identity_residual(alpha: float, info: float, dist: float) -> float:

@@ -27,6 +27,37 @@ from conftest import random_instrument
 OMEGA_PROJ = np.outer(OMEGA, OMEGA.conj())
 
 
+UNEQUAL_PRIORS = [(0.3, 0.7), (0.9, 0.1)]
+
+
+def _check_kraus_functionals(rng, priors):
+    """choi_functionals within 1e-10 of the Kraus functionals on random instruments."""
+    ens = Ensemble(priors=priors, states=symmetric_pair(0.42).states)
+    for _ in range(20):
+        inst = random_instrument(rng, kraus_counts=(2, 2))
+        p, d = choi_functionals(*instrument_chois(inst), ens)
+        assert p == pytest.approx(success_probability(inst, ens), abs=1e-10)
+        assert d == pytest.approx(disturbance(inst, ens), abs=1e-10)
+
+
+def _check_trace_form(rng, priors):
+    """choi_functionals within 4 eps of the prior-weighted trace forms."""
+    eps = np.finfo(float).eps
+    for k in range(50):
+        inst = random_instrument(rng, kraus_counts=(1 + k % 2, 1 + k // 2 % 2))
+        r1, r2 = instrument_chois(inst)
+        ens = Ensemble(priors=priors, states=symmetric_pair(rng.uniform(0.0, math.pi / 4)).states)
+        p_ref = d_ref = 0.0
+        for prior, psi, r in zip(priors, ens.states, (r1, r2)):
+            proj = projector(psi).conj()
+            perp = projector(np.array([-psi[1].conj(), psi[0].conj()]))
+            p_ref += prior * np.trace(np.kron(ID2, proj) @ r).real
+            d_ref += prior * np.trace(np.kron(perp, proj) @ (r1 + r2)).real
+        p, d = choi_functionals(r1, r2, ens)
+        assert abs(p - p_ref) <= 4 * eps
+        assert abs(d - d_ref) <= 4 * eps
+
+
 def instrument_chois(inst):
     return tuple(kraus_to_choi(ops) for ops in inst.outcomes)
 
@@ -123,31 +154,25 @@ class TestChoiFunctionals:
         assert d == pytest.approx((2 - math.sqrt(3)) / 4, abs=1e-12)
 
     def test_matches_kraus_functionals_on_random_instruments(self, rng):
-        pair = symmetric_pair(0.42)
-        ens = Ensemble.equal_pair(pair)
-        for _ in range(20):
-            inst = random_instrument(rng, kraus_counts=(2, 2))
-            p, d = choi_functionals(*instrument_chois(inst), pair)
-            assert p == pytest.approx(success_probability(inst, ens), abs=1e-10)
-            assert d == pytest.approx(disturbance(inst, ens), abs=1e-10)
+        _check_kraus_functionals(rng, (0.5, 0.5))
+
+    @pytest.mark.parametrize("priors", UNEQUAL_PRIORS)
+    def test_matches_kraus_functionals_at_unequal_priors(self, rng, priors):
+        _check_kraus_functionals(rng, priors)
 
     # The quadratic forms <c| Tr_1 R |c> and <q (x) c| R |q (x) c> against the
     # trace forms Tr[(1 (x) |c><c|) R] and Tr[(|q><q| (x) |c><c|) R] they equal.
     def test_matches_trace_form(self, rng):
-        eps = np.finfo(float).eps
-        for k in range(50):
-            inst = random_instrument(rng, kraus_counts=(1 + k % 2, 1 + k // 2 % 2))
-            r1, r2 = instrument_chois(inst)
-            pair = symmetric_pair(rng.uniform(0.0, math.pi / 4))
-            p_ref = d_ref = 0.0
-            for psi, r in zip((pair.psi1, pair.psi2), (r1, r2)):
-                proj = projector(psi).conj()
-                perp = projector(np.array([-psi[1].conj(), psi[0].conj()]))
-                p_ref += 0.5 * np.trace(np.kron(ID2, proj) @ r).real
-                d_ref += 0.5 * np.trace(np.kron(perp, proj) @ (r1 + r2)).real
-            p, d = choi_functionals(r1, r2, pair)
-            assert abs(p - p_ref) <= 4 * eps
-            assert abs(d - d_ref) <= 4 * eps
+        _check_trace_form(rng, (0.5, 0.5))
+
+    @pytest.mark.parametrize("priors", UNEQUAL_PRIORS)
+    def test_matches_trace_form_at_unequal_priors(self, rng, priors):
+        _check_trace_form(rng, priors)
+
+    def test_needs_two_states(self):
+        ens = Ensemble(priors=(1.0,), states=([1, 0],))
+        with pytest.raises(ValueError, match="^ens must hold two states"):
+            choi_functionals(OMEGA_PROJ / 2, OMEGA_PROJ / 2, ens)
 
     def test_trace_preservation_enforced(self):
         pair = symmetric_pair(0.3)

@@ -14,12 +14,24 @@ import qtradeoff
 from qtradeoff import cli
 from qtradeoff import oracle as oracle_module
 from qtradeoff.cli import CURVE_COLUMNS, MAX_CURVE_POINTS, MAX_VERIFY_POINTS, main
-from qtradeoff.tradeoff import curve_dist, tradeoff_identity_residual, tradeoff_point
+from qtradeoff.tradeoff import _curve_rows, tradeoff_identity_residual, tradeoff_point
 
 from conftest import curve_disturbance_reference, shift_closed_form
 
 PI8 = math.pi / 8
 EPS = sys.float_info.epsilon
+
+
+def assert_dist_matches_reference(dist, alpha, t):
+    """dist within 1e-14 relative of D_t / D_opt at 60 digits, the bound of test_properties."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        reference = (curve_disturbance_reference(mpmath, alpha, t)
+                     / curve_disturbance_reference(mpmath, alpha, 1.0))
+        if reference == 0:
+            assert dist == 0.0, t
+        else:
+            assert abs((mpmath.mpf(dist) - reference) / reference) <= 1e-14, t
 
 
 def run_cli(capsys, argv):
@@ -37,14 +49,13 @@ def _child_env() -> dict:
 
 @pytest.fixture(scope="module")
 def whole_curve():
-    """alpha, n and the curve's CSV and JSON texts at n = 20001 points, built whole."""
+    """alpha, n and the curve's CSV and JSON texts at n = 20001 points, built whole.
+
+    The rows are the library's (test_rows_are_the_library_values checks their
+    values); this pins how they are streamed and formatted.
+    """
     alpha, n = 0.3, 20001
-    rows = []
-    for i in range(n):
-        pt = tradeoff_point(alpha, 1.0 if i == n - 1 else i * (1.0 / (n - 1)))
-        dist = curve_dist(alpha, pt.t)
-        rows.append((pt.alpha, pt.t, pt.P, pt.D, pt.beta_t, pt.t, dist,
-                     tradeoff_identity_residual(alpha, pt.t, dist)))
+    rows = list(_curve_rows(alpha, [1.0 if i == n - 1 else i * (1.0 / (n - 1)) for i in range(n)]))
     payload = {"library": "qtradeoff", "version": qtradeoff.__version__, "alpha": alpha,
                "points": [dict(zip(CURVE_COLUMNS, row)) for row in rows]}
     csv = [",".join(CURVE_COLUMNS)] + [",".join(cli._fmt(v) for v in row) for row in rows]
@@ -180,7 +191,8 @@ class TestCurve:
         assert code == 0 and err == ""
         assert (target.read_text() if to_file else out) == expected[fmt]
 
-    # JSON floats round-trip exactly, so each row is the library's own values.
+    # JSON floats round-trip exactly, so each row is the library's own values;
+    # dist is held to the 60-digit reference.
     @pytest.mark.parametrize("inputs", [["--alpha", "1e-170"], ["--alpha", "1e-8"],
                                         ["--alpha", "0.39"], ["--alpha", repr(math.pi / 4 - 1e-12)],
                                         ["--fsq", "0.5"]])
@@ -192,9 +204,9 @@ class TestCurve:
         assert (rows[0]["t"], rows[-1]["t"]) == (0.0, 1.0)
         for row in rows:
             pt = tradeoff_point(alpha, row["t"])
-            dist = curve_dist(alpha, pt.t)
-            expected = dict(zip(CURVE_COLUMNS, (*pt[:5], pt.t, dist,
-                                                tradeoff_identity_residual(alpha, pt.t, dist))))
+            assert_dist_matches_reference(row["dist"], alpha, pt.t)
+            expected = dict(zip(CURVE_COLUMNS, (*pt[:5], pt.t, row["dist"],
+                                                tradeoff_identity_residual(alpha, pt.t, row["dist"]))))
             assert row == expected, row["t"]
 
     @pytest.mark.parametrize("points", ["1", str(MAX_CURVE_POINTS + 1)])
@@ -276,7 +288,7 @@ class TestPoint:
             payload = json.loads(out)
             pt = tradeoff_point(payload["alpha"], t)
             assert [payload[k] for k in ("t", "P", "D", "beta_t", "gamma")] == list(pt[1:]), t
-            assert payload["dist"] == curve_dist(pt.alpha, t), t
+            assert_dist_matches_reference(payload["dist"], pt.alpha, t)
             assert payload["identity_residual"] == tradeoff_identity_residual(
                 pt.alpha, t, payload["dist"]), t
 

@@ -8,7 +8,6 @@ from qtradeoff import (
     Ensemble,
     ID2,
     Instrument,
-    StatePair,
     choi_functionals,
     disturbance,
     kraus_to_choi,
@@ -21,7 +20,6 @@ from qtradeoff import (
     tilt_t,
 )
 from qtradeoff.instruments import cell_tables
-from qtradeoff.qubit import validate_state
 from qtradeoff.simulate import _cell_tables
 
 from conftest import (
@@ -77,6 +75,31 @@ class TestEnsemble:
         with pytest.raises(ValueError):
             Ensemble(priors=(0.5, 0.5), states=([1, 1], [1, 0]))
 
+    # The norm is checked on the plain entries, within ATOL_ALGEBRAIC (1e-12).
+    def test_norm_tolerance_and_shape(self):
+        for scale, admitted in ((1 + 1e-13, True), (1 + 1e-11, False)):
+            states = ([scale, 0], [0, 1])
+            if admitted:
+                Ensemble(priors=(0.5, 0.5), states=states)
+            else:
+                with pytest.raises(ValueError, match="^states must be normalized"):
+                    Ensemble(priors=(0.5, 0.5), states=states)
+        with pytest.raises(ValueError, match="^states must be 2-component vectors"):
+            Ensemble(priors=(1.0,), states=([1, 0, 0],))
+
+    # float() would take the bools as 1 and 0 and parse the strings.
+    @pytest.mark.parametrize("priors", [(True, False), ("0.5", "0.5"), (np.bool_(True), 0.0),
+                                        (0.5 + 0j, 0.5)])
+    def test_priors_must_be_real_numbers(self, priors):
+        with pytest.raises(ValueError, match="^priors must be a real number"):
+            Ensemble(priors=priors, states=([1, 0], [0, 1]))
+
+    def test_equal_pair_keeps_states_and_alpha(self):
+        pair = symmetric_pair(0.3)
+        ens = Ensemble.equal_pair(Ensemble(priors=(0.9, 0.1), states=pair.states, alpha=0.3))
+        assert ens.priors == (0.5, 0.5) and ens.alpha == 0.3
+        assert all(np.array_equal(a, b) for a, b in zip(ens.states, pair.states))
+
 
 NAN = math.nan
 _ENTRIES = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -97,9 +120,9 @@ def _with_nan(m, index, value=NAN):
 # error compared false and the input was accepted.
 @pytest.mark.parametrize("build", [
     lambda: Ensemble(priors=(NAN, 1.0), states=([1, 0], [0, 1])),
-    lambda: validate_state([NAN, 0]),
-    lambda: StatePair(alpha=0.3, psi1=np.array([NAN, NAN]), psi2=np.array([NAN, NAN])),
-    lambda: StatePair(alpha=NAN, psi1=symmetric_pair(0.3).psi1.copy(), psi2=symmetric_pair(0.3).psi2.copy()),
+    lambda: Ensemble(priors=(1.0,), states=([NAN, 0],)),
+    lambda: Ensemble(priors=(0.5, 0.5), states=([NAN, NAN], [NAN, NAN]), alpha=0.3),
+    lambda: Ensemble(priors=(0.5, 0.5), states=symmetric_pair(0.3).states, alpha=NAN),
     lambda: Instrument(outcomes=((np.array([[NAN, 0], [0, 1]]),), (np.diag([0.0, 1.0]),))),
     lambda: choi_functionals(np.full((4, 4), NAN), np.full((4, 4), NAN), symmetric_pair(0.3)),
     # A NaN in any entry, not only the first one a check compares: max() over
@@ -136,7 +159,7 @@ class TestOptimalInstrument:
         # first outcome prepares the tilted state: posterior is the rotated basis ket
         pair = symmetric_pair(math.pi / 8)
         (e,), _ = optimal_instrument(math.pi / 8, 1.0).outcomes
-        out = e @ projector(pair.psi1) @ e.conj().T
+        out = e @ projector(pair.states[0]) @ e.conj().T
         p = np.trace(out).real
         assert p == pytest.approx(COS2_PI8, abs=1e-12)
         beta = tilt_t(math.pi / 8, 1.0)
@@ -226,7 +249,7 @@ class TestDisturbance:
         inst = Instrument(outcomes=((e1,), (e2,)))
         expected = 1.0 - 0.5 * sum(
             abs(np.vdot(psi, e @ psi)) ** 2
-            for psi in (pair.psi1, pair.psi2) for e in (e1, e2)
+            for psi in pair.states for e in (e1, e2)
         )
         ens = Ensemble.equal_pair(pair)
         assert disturbance(inst, ens) == pytest.approx(expected, abs=1e-12)
@@ -345,10 +368,10 @@ class TestScalarFunctionalsMatchNumpyExpressions:
             pair = symmetric_pair(alpha)
             if k % 2:
                 phase = np.exp(1j * rng.uniform(0.0, 2 * math.pi))
-                pair = StatePair(alpha=alpha, psi1=phase * pair.psi1, psi2=phase * pair.psi2)
+                pair = Ensemble(priors=(0.5, 0.5), states=[phase * psi for psi in pair.states], alpha=alpha)
             total = r1 + r2
             p = d = 0.0
-            for psi, r in zip((pair.psi1, pair.psi2), (r1, r2)):
+            for psi, r in zip(pair.states, (r1, r2)):
                 c = psi.conj()
                 qc = np.outer([-c[1], c[0]], c).reshape(4)
                 p += 0.5 * float(np.vdot(c, partial_trace_first(r) @ c).real)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qtradeoff import (
+    Ensemble,
     OracleConfig,
     constraint_residuals,
     kraus_to_choi,
@@ -52,7 +53,7 @@ class TestSigmaObjective:
     @pytest.mark.parametrize("alpha", CERTIFICATE_ALPHAS)
     def test_bit_identical_to_kron_sum(self, alpha):
         pair = symmetric_pair(alpha)
-        projectors = [np.outer(psi, psi.conj()).real for psi in (pair.psi1, pair.psi2)]
+        projectors = [np.outer(psi, psi.conj()).real for psi in pair.states]
         sig = sigma_objective(pair)
         assert sig.dtype == np.float64
         assert np.array_equal(sig, np.kron(projectors[0], projectors[0]) + np.kron(projectors[1], projectors[1]))
@@ -269,9 +270,24 @@ class TestMaximize:
         with pytest.raises(ValueError):
             maximize(symmetric_pair(alpha), 0.5)
 
+    # float() would take np.bool_(True) as t = 1.
     def test_t_domain_checked(self):
-        with pytest.raises(ValueError):
-            maximize(symmetric_pair(PI8), 1.5)
+        for t in (1.5, True, np.bool_(True)):
+            with pytest.raises(ValueError, match="^t must"):
+                maximize(symmetric_pair(PI8), t)
+
+    # The program is the symmetric equal-prior pair's: any other ensemble is refused by name.
+    @pytest.mark.parametrize("priors, alpha, condition", [
+        ((0.3, 0.7), PI8, "equal priors"), ((0.9, 0.1), PI8, "equal priors"),
+        ((0.5, 0.5), None, "a symmetric pair"),
+    ])
+    def test_other_ensembles_rejected(self, priors, alpha, condition):
+        ens = Ensemble(priors=priors, states=symmetric_pair(PI8).states, alpha=alpha)
+        r1 = closed_form_choi(PI8, 0.5)
+        for call in (lambda: maximize(ens, 0.5), lambda: constraint_residuals(r1, ens, 0.5),
+                     lambda: verify_closed_form(ens, [0.5]), lambda: sigma_objective(ens)):
+            with pytest.raises(ValueError, match=f"^oracle requires {condition}"):
+                call()
 
 
 class TestOracleConfig:
@@ -310,7 +326,8 @@ class TestVerifyClosedForm:
     # float() would take True as 1.0 and "1e-4" as a number.
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf, True, "1e-4"])
     def test_invalid_tolerance_rejected(self, tol):
-        with pytest.raises(ValueError, match="^tol must be finite and positive"):
+        rule = "finite and positive" if isinstance(tol, float) else "a real number"
+        with pytest.raises(ValueError, match=f"^tol must be {rule}"):
             verify_closed_form(symmetric_pair(PI8), [0.5], tol=tol)
 
     # Each grid value reaches check_t as given: True is not t = 1.

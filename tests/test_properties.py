@@ -18,7 +18,7 @@ from qtradeoff import (
     tilt_t,
     tradeoff_point,
 )
-from qtradeoff.tradeoff import curve_dist
+from qtradeoff.tradeoff import _curve_rows
 
 from conftest import curve_disturbance_reference
 
@@ -48,14 +48,15 @@ def _closed_form_references(alpha, t):
             # tan 2b = tan 2a / cos 2a, with both sides multiplied by cos 2a >= 0.
             "tilt_at_full_strength": mpmath.atan2(s2, c2 ** 2) / 2,
             "tilt_t": beta_t,
-            "dist": d_t / d_opt if alpha > 0 else None,
+            "dist": d_t / d_opt if 0 < alpha < math.pi / 4 else None,
         }
 
 
 # Relative error against 60-digit mpmath over the whole domain, edges
 # included. References below the smallest normal double are skipped: there D
-# underflows, to 0 at a = t = 1e-300. The curve's dist = D_t / D_opt is 0/0 at
-# a = 0, and stays accurate below a of about 1e-162, where D_opt underflows.
+# underflows, to 0 at a = t = 1e-300. The curve's dist = D_t / D_opt, as the
+# CLI writes it, is blank at a in {0, pi/4}, and stays accurate below a of
+# about 1e-162, where D_opt underflows.
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(alpha=st.floats(0.0, math.pi / 4), t=st.floats(0.0, 1.0))
 @example(alpha=0.0, t=0.0)
@@ -74,7 +75,7 @@ def test_closed_forms_against_mpmath(alpha, t):
         "helstrom_min_disturbance": helstrom_min_disturbance(alpha),
         "tilt_at_full_strength": tilt_t(alpha, 1.0),
         "tilt_t": tilt_t(alpha, t),
-        "dist": curve_dist(alpha, t),
+        "dist": next(_curve_rows(alpha, (t,)))[6],
     }
     for name, reference in _closed_form_references(alpha, t).items():
         if reference is None:

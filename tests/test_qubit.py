@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qtradeoff import (
+    Ensemble,
     ID2,
     SIGMA_X,
     projector,
@@ -18,45 +19,63 @@ from conftest import random_hermitian
 class TestSymmetricPair:
     def test_orthogonal_endpoint(self):
         pair = symmetric_pair(0.0)
-        np.testing.assert_allclose(pair.psi1, [1, 0], atol=1e-15)
-        np.testing.assert_allclose(pair.psi2, [0, 1], atol=1e-15)
-        assert abs(np.vdot(pair.psi1, pair.psi2)) == pytest.approx(0.0, abs=1e-12)
+        np.testing.assert_allclose(pair.states[0], [1, 0], atol=1e-15)
+        np.testing.assert_allclose(pair.states[1], [0, 1], atol=1e-15)
+        assert abs(np.vdot(*pair.states)) == pytest.approx(0.0, abs=1e-12)
 
     def test_identical_endpoint(self):
         pair = symmetric_pair(math.pi / 4)
-        np.testing.assert_allclose(pair.psi1, pair.psi2, atol=1e-15)
-        assert abs(np.vdot(pair.psi1, pair.psi2)) == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(pair.states[0], pair.states[1], atol=1e-15)
+        assert abs(np.vdot(*pair.states)) == pytest.approx(1.0, abs=1e-12)
 
     def test_unbiased_pair_overlap(self):
         # f = sin(pi/4), f^2 = 1/2 at the midpoint angle
         pair = symmetric_pair(math.pi / 8)
-        f = abs(np.vdot(pair.psi1, pair.psi2))
+        f = abs(np.vdot(*pair.states))
         assert f == pytest.approx(math.sin(math.pi / 4), abs=1e-12)
         assert f**2 == pytest.approx(0.5, abs=1e-12)
 
     def test_overlap_equals_sin_2alpha_on_grid(self):
         for alpha in np.linspace(0.0, math.pi / 4, 41):
             pair = symmetric_pair(alpha)
-            inner = np.vdot(pair.psi1, pair.psi2)
+            inner = np.vdot(*pair.states)
             assert abs(inner - math.sin(2 * alpha)) <= 1e-12
 
     def test_component_exchange(self):
         pair = symmetric_pair(0.3)
-        np.testing.assert_allclose(SIGMA_X @ pair.psi1, pair.psi2, atol=1e-15)
+        np.testing.assert_allclose(SIGMA_X @ pair.states[0], pair.states[1], atol=1e-15)
 
-    # float() would take False as the alpha = 0 pair and parse "0.3".
-    @pytest.mark.parametrize("alpha", [-0.1, math.pi / 4 + 1e-6, 1.0, True, False, "0.3"])
+    # float() would take False as the alpha = 0 pair and parse "0.3"; numbers.Real
+    # refuses np.bool_ and complex.
+    @pytest.mark.parametrize("alpha", [-0.1, math.pi / 4 + 1e-6, 1.0, True, False, "0.3",
+                                       np.bool_(False), 0.3 + 0j])
     def test_domain_error(self, alpha):
         with pytest.raises(ValueError, match="^alpha must"):
             symmetric_pair(alpha)
 
+    def test_is_the_equal_prior_ensemble(self):
+        pair = symmetric_pair(0.3)
+        assert isinstance(pair, Ensemble) and pair.priors == (0.5, 0.5) and pair.alpha == 0.3
+        assert [s.tolist() for s in pair.states] == [[complex(math.cos(0.3)), complex(math.sin(0.3))],
+                                                     [complex(math.sin(0.3)), complex(math.cos(0.3))]]
+
     def test_manual_construction_checks_geometry(self):
-        from qtradeoff import StatePair
         good = symmetric_pair(0.3)
-        with pytest.raises(ValueError):
-            StatePair(alpha=0.3, psi1=good.psi1.copy(), psi2=good.psi1.copy())
-        with pytest.raises(ValueError):
-            StatePair(alpha=0.2, psi1=good.psi1.copy(), psi2=good.psi2.copy())
+        psi1, psi2 = good.states
+        with pytest.raises(ValueError, match="^alpha requires states.1. to be the component exchange"):
+            Ensemble(priors=(0.5, 0.5), states=(psi1, psi1), alpha=0.3)
+        with pytest.raises(ValueError, match="^alpha does not match the overlap"):
+            Ensemble(priors=(0.5, 0.5), states=(psi1, psi2), alpha=0.2)
+        with pytest.raises(ValueError, match="^alpha requires a pair of states"):
+            Ensemble(priors=(1.0,), states=(psi1,), alpha=0.3)
+        with pytest.raises(ValueError, match="^alpha must"):
+            Ensemble(priors=(0.5, 0.5), states=(psi1, psi2), alpha=math.nan)
+        # Within ATOL_ALGEBRAIC (1e-12) the geometry is accepted, beyond it refused.
+        shift = np.array([0.0, 1e-13])
+        tilted = (psi1 + shift) / np.linalg.norm(psi1 + shift)
+        assert Ensemble(priors=(0.5, 0.5), states=(tilted, tilted[::-1]), alpha=0.3).alpha == 0.3
+        with pytest.raises(ValueError, match="^alpha does not match the overlap"):
+            Ensemble(priors=(0.5, 0.5), states=(psi1, psi2), alpha=0.3 + 1e-11)
 
 
 class TestTensor:
@@ -83,7 +102,7 @@ class TestTensor:
 
     def test_projector_tensor_has_unit_trace(self):
         pair = symmetric_pair(math.pi / 8)
-        p1 = projector(pair.psi1)
+        p1 = projector(pair.states[0])
         assert np.trace(tensor(p1, p1)).real == pytest.approx(1.0, abs=1e-12)
 
     def test_bilinear(self, rng):

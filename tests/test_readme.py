@@ -38,10 +38,10 @@ def test_python_example_runs():
 # names that other modules of the package use; they are listed here, so that
 # a new name is either documented or declared internal.
 INTERNAL = {
-    "qubit": {"ATOL_ALGEBRAIC", "OPERATOR_ATOL", "is_hermitian", "validate_state"},
+    "qubit": {"ATOL_ALGEBRAIC", "OPERATOR_ATOL", "is_hermitian"},
     "instruments": {"cell_tables"},
     "choi": set(),
-    "tradeoff": {"NormalizedPoint", "check_alpha", "check_t", "curve_dist", "kraus_entries"},
+    "tradeoff": {"NormalizedPoint", "check_alpha", "check_t", "kraus_entries"},
     "oracle": {"FEASIBILITY_ATOL", "SUPEROPTIMALITY_TOL", "VerificationPoint"},
     "simulate": {"MAX_SHOTS"},
 }

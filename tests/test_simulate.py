@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 
 from qtradeoff import (
+    Ensemble,
     Instrument,
     SimulationConfig,
     SimulationResult,
+    disturbance,
     optimal_instrument,
     run,
+    success_probability,
     symmetric_pair,
     tradeoff_point,
 )
@@ -96,16 +99,26 @@ class TestStatistics:
         pair = symmetric_pair(PI8)
         inst = optimal_instrument(PI8, 0.6)
         cfg = SimulationConfig(shots=1000000, seed=909)
-        counts = _draw_counts(_cell_tables(inst, pair)[0], cfg)
+        counts = _draw_counts(_cell_tables(inst, pair)[0], pair.priors, cfg)
         assert counts.sum() == cfg.shots
         from qtradeoff import povm
         elements = povm(inst)
         stat = 0.0
-        for i, psi in enumerate((pair.psi1, pair.psi2)):
+        for i, psi in enumerate(pair.states):
             for j in range(2):
                 expected = cfg.shots * 0.5 * float(np.real(psi.conj() @ elements[j] @ psi))
                 stat += (counts[i, j] - expected) ** 2 / expected
         assert stat < CHI2_999_DF3
+
+    # The sent state is drawn by its prior: the estimates agree with the
+    # prior-weighted Kraus functionals.
+    @pytest.mark.parametrize("priors", [(0.3, 0.7), (0.9, 0.1)])
+    def test_unequal_priors_match_the_functionals(self, priors):
+        ens = Ensemble(priors=priors, states=symmetric_pair(0.3).states)
+        inst = optimal_instrument(0.3, 0.6)
+        result = run(inst, ens, SimulationConfig(shots=10**6, seed=31))
+        assert abs(result.empirical_P - success_probability(inst, ens)) <= 6 * result.stderr_P
+        assert abs(result.empirical_D - disturbance(inst, ens)) <= 6 * result.stderr_D
 
     def test_stderr_is_sample_std_over_sqrt_shots(self):
         result = run(optimal_instrument(PI8, 1.0), symmetric_pair(PI8),
@@ -142,14 +155,14 @@ class TestCountSampler:
         pair = symmetric_pair(PI8)
         inst = optimal_instrument(PI8, 0.6)
         cfg = SimulationConfig(shots=123457, seed=5)
-        counts = _draw_counts(_cell_tables(inst, pair)[0], cfg)
+        counts = _draw_counts(_cell_tables(inst, pair)[0], pair.priors, cfg)
         assert run(inst, pair, cfg).empirical_P == (counts[0, 0] + counts[1, 1]) / cfg.shots
 
     def test_estimators_match_per_shot_arrays(self):
         pair = symmetric_pair(0.3)
         inst = optimal_instrument(0.3, 0.7)
         cfg = SimulationConfig(shots=1000, seed=8)
-        counts = _draw_counts(_cell_tables(inst, pair)[0], cfg).ravel()
+        counts = _draw_counts(_cell_tables(inst, pair)[0], pair.priors, cfg).ravel()
         _, dist = _cell_tables(inst, pair)
         success = np.repeat(np.eye(2).ravel(), counts)
         per_shot_d = np.repeat(dist.ravel(), counts)
@@ -166,11 +179,11 @@ class TestCountSampler:
         pair = symmetric_pair(0.6)
         phi = np.array([-math.sin(0.6), math.cos(0.6)], dtype=complex)
         inst = Instrument(outcomes=((np.outer(phi, phi.conj()),),
-                                    (np.outer(pair.psi1, pair.psi1.conj()),)))
+                                    (np.outer(pair.states[0], pair.states[0].conj()),)))
         probs, _ = _cell_tables(inst, pair)
         assert 0.0 <= probs[0, 0] <= 1e-30
         cfg = SimulationConfig(shots=10000, seed=4)
-        assert _draw_counts(_cell_tables(inst, pair)[0], cfg)[0, 0] == 0
+        assert _draw_counts(_cell_tables(inst, pair)[0], pair.priors, cfg)[0, 0] == 0
         assert 0.0 < run(inst, pair, cfg).empirical_P < 1.0
 
     def test_cells_summing_above_one_are_renormalized(self):
@@ -179,9 +192,9 @@ class TestCountSampler:
         pair = symmetric_pair(0.6)
         perp = np.array([-math.cos(0.6), math.sin(0.6)], dtype=complex)
         inst = Instrument(outcomes=(
-            (math.sqrt(1 + 4e-11) * np.outer(pair.psi2, pair.psi2.conj()),),
+            (math.sqrt(1 + 4e-11) * np.outer(pair.states[1], pair.states[1].conj()),),
             (np.outer(perp, perp.conj()),)))
-        counts = _draw_counts(_cell_tables(inst, pair)[0], SimulationConfig(shots=10000, seed=4))
+        counts = _draw_counts(_cell_tables(inst, pair)[0], pair.priors, SimulationConfig(shots=10000, seed=4))
         assert counts.sum() == 10000
         assert counts[1, 1] == 0
 

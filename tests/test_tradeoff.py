@@ -1,5 +1,7 @@
 """Closed-form results: Helstrom optimum, tilts, optimal family, normalized identity."""
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,12 +22,21 @@ from qtradeoff import (
     tradeoff_identity_residual,
     tradeoff_point,
 )
-from qtradeoff.tradeoff import curve_dist
+
+from conftest import curve_disturbance_reference
 
 PI8 = math.pi / 8
 D_OPT_PI8 = (2 - math.sqrt(3)) / 4  # 0.0669872981077807
 # pi/4, its float predecessor, and a point 1e-12 below it
 NEAR_PI4 = (math.pi / 4, math.nextafter(math.pi / 4, 0.0), math.pi / 4 - 1e-12)
+
+
+# The Helstrom values are the curve at t = 1, bit for bit, up to both ends of alpha.
+def test_helstrom_values_are_the_curve_at_full_strength():
+    for alpha in [*np.linspace(0.0, math.pi / 4, 20001).tolist(), 1e-170, 5e-324, math.pi / 4 - 1e-12]:
+        pt = tradeoff_point(alpha, 1.0)
+        assert helstrom_probability(alpha) == pt.P, alpha
+        assert helstrom_min_disturbance(alpha) == pt.D, alpha
 
 
 class TestHelstromProbability:
@@ -73,9 +84,13 @@ class TestTiltDisturbance:
     def test_zero_angle(self):
         assert tilt_disturbance(0.0, 0.0) == 0.0
 
-    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf, True, False])
+    # float() would take the bools and np.bool_ and parse "0.3"; complex raised a
+    # TypeError that named no parameter.
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf, True, False, "0.3",
+                                      np.bool_(True), 0.3 + 0j, Decimal("0.3")])
     def test_non_finite_tilt_rejected(self, beta):
-        with pytest.raises(ValueError, match="^beta must be finite"):
+        rule = "finite" if isinstance(beta, float) else "a real number"
+        with pytest.raises(ValueError, match=f"^beta must be {rule}"):
             tilt_disturbance(0.3, beta)
 
     @pytest.mark.parametrize("alpha", [1e-8, 1e-6, 1e-4, 0.1, 0.5, 0.78, 0.785])
@@ -178,16 +193,25 @@ class TestOptimalInstrument:
 
 
 class TestTradeoffPoint:
-    # float() would take the bools as 0 and 1 and parse the strings; every
-    # message starts with the parameter's name, which the CLI maps to its flag.
+    # float() would take the bools and np.bool_ as 0 and 1 and parse the
+    # strings; complex raised a TypeError. Every message starts with the
+    # parameter's name, which the CLI maps to its flag.
     @pytest.mark.parametrize("alpha, t, name", [
         (True, 0.5, "alpha"), (False, 0.5, "alpha"), ("0.3", 0.5, "alpha"), (-0.1, 0.5, "alpha"),
         (0.3, True, "t"), (0.3, False, "t"), (0.3, "0.5", "t"), (0.3, math.nan, "t"),
+        (np.bool_(False), 0.5, "alpha"), (0.3, np.bool_(True), "t"), (0.3, 1 + 0j, "t"),
+        (Decimal("0.3"), 0.5, "alpha"),
     ])
     def test_domain(self, alpha, t, name):
         for func in (tradeoff_point, tilt_t, optimal_instrument):
             with pytest.raises(ValueError, match=f"^{name} must"):
                 func(alpha, t)
+
+    # numbers.Real: numpy scalars and Fraction are the same point as their floats.
+    def test_real_number_types_accepted(self):
+        expected = tradeoff_point(0.375, 1.0)
+        for alpha, t in ((np.float64(0.375), np.int64(1)), (Fraction(3, 8), 1), (0.375, Fraction(1))):
+            assert tradeoff_point(alpha, t) == expected
 
     def test_no_measurement_endpoint(self):
         pt = tradeoff_point(0.37, 0.0)
@@ -279,11 +303,15 @@ class TestNormalized:
         with pytest.raises(ValueError):
             normalized(alpha, 0.7, 0.01)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    # float() would take True as 1 and parse "0.7".
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True, False, "0.7",
+                                     np.bool_(True), 0.7 + 0j])
     @pytest.mark.parametrize("which", ["P", "D"])
     def test_non_finite_input_rejected(self, which, bad):
         p, d = (bad, 0.01) if which == "P" else (0.7, bad)
-        with pytest.raises(ValueError, match="finite"):
+        message = ("p and d must be finite" if isinstance(bad, float)
+                   else f"{which.lower()} must be a real number")
+        with pytest.raises(ValueError, match=f"^{message}"):
             normalized(PI8, p, d)
 
 
@@ -296,11 +324,15 @@ class TestIdentityResidual:
                 assert abs(tradeoff_identity_residual(alpha, norm.info, norm.dist)) <= 1e-9
 
     # D_opt is 0 at 1e-170 and 1e-300; the left side is formed from sqrt(D_opt) ~ alpha.
+    # dist = D_t / D_opt is taken from the 60-digit reference.
     @pytest.mark.parametrize("alpha", [1e-170, 1e-300])
     def test_zero_on_curve_at_tiny_alpha(self, alpha):
+        mpmath = pytest.importorskip("mpmath")
         for t in (0.1, 0.5, 0.9, 1.0):
             rhs = (math.sin(4 * alpha) / 4) * t * t / (1 + math.sqrt(1 - t * t))
-            residual = tradeoff_identity_residual(alpha, t, curve_dist(alpha, t))
+            dist = float(curve_disturbance_reference(mpmath, alpha, t)
+                         / curve_disturbance_reference(mpmath, alpha, 1.0))
+            residual = tradeoff_identity_residual(alpha, t, dist)
             assert abs(residual) <= 1e-12 * rhs, t
 
     def test_origin(self):
@@ -339,3 +371,9 @@ class TestIdentityResidual:
                 tradeoff_identity_residual(PI8, value, 0.0)
             with pytest.raises(ValueError, match="^dist must"):
                 tradeoff_identity_residual(PI8, 0.0, value)
+        # float() would take True as 1 and parse "0.5".
+        for value in (True, False, "0.5", np.bool_(True), 0.5 + 0j, Decimal("0.5")):
+            with pytest.raises(ValueError, match="^info must be a real number"):
+                tradeoff_identity_residual(PI8, value, 0.5)
+            with pytest.raises(ValueError, match="^dist must be a real number"):
+                tradeoff_identity_residual(PI8, 0.5, value)
