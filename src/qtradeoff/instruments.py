@@ -62,9 +62,10 @@ class Instrument:
 class Ensemble:
     """Pure qubit states with prior probabilities summing to one.
 
-    alpha, when given, is the half-angle of a symmetric pair: states[1] is the
-    component exchange of states[0], and <psi1|psi2> = sin 2a. Every identity
-    is checked within ATOL_ALGEBRAIC on the plain entries, so that NaN fails.
+    alpha, when given, is the half-angle of a symmetric pair: states[0] is a
+    global phase times (cos a, sin a), states[1] is its component exchange, and
+    <psi1|psi2> = sin 2a. Every identity is checked within ATOL_ALGEBRAIC on
+    the plain entries, so that NaN fails.
     """
 
     priors: tuple[float, ...]
@@ -94,10 +95,17 @@ class Ensemble:
             if len(entries) != 2:
                 raise ValueError(f"alpha requires a pair of states, got {len(entries)}")
             (a1, b1), (a2, b2) = entries
+            sin2a = math.sin(2.0 * alpha)
             if not (abs(b1 - a2) <= ATOL_ALGEBRAIC and abs(a1 - b2) <= ATOL_ALGEBRAIC):
                 raise ValueError("alpha requires states[1] to be the component exchange of states[0]")
-            if not abs(a1.conjugate() * a2 + b1.conjugate() * b2 - math.sin(2.0 * alpha)) <= ATOL_ALGEBRAIC:
+            if not abs(a1.conjugate() * a2 + b1.conjugate() * b2 - sin2a) <= ATOL_ALGEBRAIC:
                 raise ValueError("alpha does not match the overlap: <psi1|psi2> != sin(2 alpha)")
+            # The overlap is 2 Re(conj(a1) b1): it misses a relative phase between the
+            # components, and their order. These two fix psi1 up to a global phase.
+            if not (abs(2.0 * a1.conjugate() * b1 - sin2a) <= ATOL_ALGEBRAIC
+                    and abs((a1.conjugate() * a1 - b1.conjugate() * b1).real - math.cos(2.0 * alpha))
+                    <= ATOL_ALGEBRAIC):
+                raise ValueError("alpha requires states[0] to be a global phase times (cos alpha, sin alpha)")
             object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "priors", priors)
         object.__setattr__(self, "states", states)
@@ -128,22 +136,33 @@ def success_probability(inst: Instrument, ens: Ensemble) -> float:
     return p
 
 
-def _cells(inst: Instrument, ens: Ensemble) -> tuple[list[list[float]], list[list[float]]]:
-    """probs and leaks of cell_tables, as nested lists."""
+def _leak_rows(inst: Instrument, ens: Ensemble) -> list[list[float]]:
+    """leaks of cell_tables, as nested lists."""
     if inst.n_outcomes != len(ens.states):
         raise ValueError("outcome count must match ensemble size")
-    probs = [[0.0] * inst.n_outcomes for _ in ens._states]
-    leaks = [[0.0] * inst.n_outcomes for _ in ens._states]
-    for i, (a, b) in enumerate(ens._states):
-        for j, ops in enumerate(inst._kraus):
+    rows = []
+    for a, b in ens._states:
+        row = []
+        for ops in inst._kraus:
+            leak = 0.0
             for (e00, e01), (e10, e11) in ops:
-                out0, out1 = e00 * a + e01 * b, e10 * a + e11 * b
                 # <psi^perp| E |psi> with psi^perp = (-b*, a*). Since
                 # <psi^perp|psi> = 0 only the traceless part of E enters (its
                 # off-diagonal and e00 - e11), so E = c 1 leaks exactly 0.
-                amp = e10 * a * a - e01 * b * b - (e00 - e11) * a * b
-                probs[i][j] += abs(out0) ** 2 + abs(out1) ** 2
-                leaks[i][j] += abs(amp) ** 2
+                leak += abs(e10 * a * a - e01 * b * b - (e00 - e11) * a * b) ** 2
+            row.append(leak)
+        rows.append(row)
+    return rows
+
+
+def _cells(inst: Instrument, ens: Ensemble) -> tuple[list[list[float]], list[list[float]]]:
+    """probs and leaks of cell_tables, as nested lists."""
+    leaks = _leak_rows(inst, ens)
+    probs = [[0.0] * inst.n_outcomes for _ in ens._states]
+    for i, (a, b) in enumerate(ens._states):
+        for j, ops in enumerate(inst._kraus):
+            for (e00, e01), (e10, e11) in ops:
+                probs[i][j] += abs(e00 * a + e01 * b) ** 2 + abs(e10 * a + e11 * b) ** 2
     return probs, leaks
 
 
@@ -167,5 +186,4 @@ def disturbance(inst: Instrument, ens: Ensemble) -> float:
     trace-preserving instrument; the two differ by the completeness error,
     at most 2 OPERATOR_ATOL within Instrument's entrywise tolerance.
     """
-    _, leaks = _cells(inst, ens)
-    return sum(prior * sum(row) for prior, row in zip(ens.priors, leaks))
+    return sum(prior * sum(row) for prior, row in zip(ens.priors, _leak_rows(inst, ens)))

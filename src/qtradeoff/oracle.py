@@ -19,12 +19,19 @@ rotation or reflection times the square root of a POVM element. Each of
 O(2)'s two components is a circle, Q = cos(th) A + sin(th) B with
 (A, B) = (1, [[0, -1], [1, 0]]) for rotations and (sz, sx) for reflections.
 On a circle w^T Sigma w is a quadratic form in (cos th, sin th), so its
-maximum is the top eigenpair of a 2x2 matrix; best_R1 comes from the better
-circle. tau comes from the constraints alone.
+maximum is the top eigenpair of a 2x2 matrix; best_R1 comes from the circle
+with the larger w^T Sigma w. tau comes from the constraints alone.
+
+The solve runs on plain floats, since numpy's per-call cost on 4x4 arrays
+would be most of its work: Sigma is the two rank-one terms u_i u_i^T with
+u_i = Re(psi_i (x) psi_i*), so each circle's 2x2 form takes four length-4
+dot products and its maximum one atan2.
 
 The certificate for 0 < t < 1 is the KKT point of each circle's maximum: the
 (y, lambda) with Sigma w - y1 (1 (x) sx) w - y2 (1 (x) sz) w = lambda w,
-solved by 4x3 least squares. At the optimum w is a top eigenvector of M(y)
+solved as 4x3 least squares by modified Gram-Schmidt. Each dual value takes
+one LAPACK symmetric eigendecomposition of M(y), the solve's only numpy
+call besides best_R1. At the optimum w is a top eigenvector of M(y)
 and the dual value equals the objective. The lesser of the two circles' dual
 values is kept: near alpha = pi/4 with t -> 1 the circles nearly coincide at
 a kink of the dual, and one circle's KKT point lands on the wrong side of it.
@@ -56,12 +63,11 @@ SUPEROPTIMALITY_TOL = 1e-5
 
 # Constraint operators 1 (x) sx and 1 (x) sz; their multipliers are the dual variables.
 _DUAL_OPS = np.stack([tensor(ID2, SIGMA_X).real, tensor(ID2, SIGMA_Z).real])
-# The two components of O(2), Q = cos(th) A + sin(th) B: rotations, then reflections.
-_CIRCLES = ((ID2.real, np.array([[0.0, -1.0], [1.0, 0.0]])), (SIGMA_Z.real, SIGMA_X.real))
-# Forming M(y), its eigh and the sum lambda_max + t y2 each round by a small
-# multiple of eps * max|lambda| (measured up to 1.75 against 40-digit mpmath),
-# which near t = 1 (|y| ~ 1e5) reaches 1e-11. The dual value is raised by this
-# allowance so that it stays a proven upper bound on Tr[Sigma R1].
+# Forming M(y), its eigh and the sum lambda_max + t y2 together round by a small
+# multiple of eps * max|lambda| (measured up to 4.3 against 40-digit mpmath on
+# 3000 random points with t up to 1 - 1e-13; eigvalsh, without eigenvectors,
+# reached 7.2), which near t = 1 (|y| ~ 1e5) reaches 1e-11. The dual value is
+# raised by this allowance so that it stays a proven upper bound on Tr[Sigma R1].
 _DUAL_ROUNDING = 8.0 * np.finfo(float).eps
 
 
@@ -138,39 +144,88 @@ def constraint_residuals(r1: np.ndarray, ens: Ensemble, t: float) -> tuple[float
     return psd, float((d[0] + d[1]) + (d[2] + d[3])) - 1.0, float(sx), float(sz) - float(t)
 
 
-def _spectrum(sig: np.ndarray, y: tuple[float, float]) -> tuple[list[float], np.ndarray]:
-    """Eigenvalues (ascending) and eigenvectors of M(y) = Sigma - y1 (1 (x) sx) - y2 (1 (x) sz)."""
-    lam, v = np.linalg.eigh(sig - np.dot(y, _DUAL_OPS.reshape(2, 16)).reshape(4, 4))
-    return lam.tolist(), v
+def _rank_one_terms(ens: Ensemble) -> list[tuple[float, float, float, float]]:
+    """u_i = Re(psi_i (x) psi_i*), so that Sigma = sum_i u_i u_i^T.
+
+    u_i read as a 2x2 matrix is the projector |psi_i><psi_i|, real for a
+    symmetric pair (a global phase cancels), and for a real rank-one P the
+    entries P[i,j] P[k,l] of P (x) P equal P[i,k] P[j,l].
+    """
+    return [((a * a.conjugate()).real, (a * b.conjugate()).real, (b * a.conjugate()).real,
+             (b * b.conjugate()).real) for a, b in ens._states]
 
 
-def _certified_dual(lam: list[float], y: tuple[float, float], t: float):
-    """(dual value raised by its rounding allowance, y, lambda_max) at y."""
-    return lam[-1] + t * y[1] + _DUAL_ROUNDING * max(lam[-1], -lam[0]), y, lam[-1]
+def _dot(x, y) -> float:
+    return x[0] * y[0] + x[1] * y[1] + x[2] * y[2] + x[3] * y[3]
 
 
-def _circle_maxima(sig: np.ndarray, t: float) -> list[tuple[float, np.ndarray]]:
-    """(w^T Sigma w, w) at the maximum on each circle w = vec((cos th A + sin th B) sqrt(tau))."""
-    root = np.sqrt([(1.0 + t) / 2.0, (1.0 - t) / 2.0])
-    maxima = []
-    for a_mat, b_mat in _CIRCLES:
-        # a and b are orthonormal, so (cos th, sin th) -> w is an isometry.
-        a, b = (a_mat * root).ravel(), (b_mat * root).ravel()
-        sa, sb = sig @ a, sig @ b
-        p, q, r = float(a @ sa), float(a @ sb), float(b @ sb)
+def _objective(u, w) -> float:
+    """w^T Sigma w = sum_i (u_i . w)^2."""
+    return sum(_dot(ui, w) ** 2 for ui in u)
+
+
+def _certified_dual(u, y: tuple[float, float], t: float):
+    """(dual value raised by its rounding allowance, y, lambda_max) at y.
+
+    One LAPACK eigh of M(y) = Sigma - y1 (1 (x) sx) - y2 (1 (x) sz), formed
+    from u: on the index 2i + k, 1 (x) sx swaps k and 1 (x) sz is
+    diag(1, -1, 1, -1).
+    """
+    m = [[x * xc + z * zc for xc, zc in zip(*u)] for x, z in zip(*u)]
+    for j in range(4):
+        m[j][j] -= y[1] if j % 2 == 0 else -y[1]
+        m[j][j ^ 1] -= y[0]
+    lam = np.linalg.eigh(m)[0]
+    lo, hi = float(lam[0]), float(lam[-1])
+    return hi + t * y[1] + _DUAL_ROUNDING * max(hi, -lo), y, hi
+
+
+def _circle_points(u, t: float) -> list[tuple[float, float, float, float]]:
+    """w = vec((cos th A + sin th B) sqrt(tau)) at the maximum of w^T Sigma w on each circle."""
+    r0, r1 = math.sqrt((1.0 + t) / 2.0), math.sqrt((1.0 - t) / 2.0)
+    points = []
+    # vec(A sqrt(tau)) and vec(B sqrt(tau)): rotations (A, B) = (1, [[0, -1], [1, 0]]),
+    # then reflections (sz, sx). a and b are orthonormal, so (cos th, sin th) -> w is an isometry.
+    for a, b in (((r0, 0.0, 0.0, r1), (0.0, -r1, r0, 0.0)), ((r0, 0.0, 0.0, -r1), (0.0, r1, r0, 0.0))):
+        (ua1, ub1), (ua2, ub2) = ((_dot(ui, a), _dot(ui, b)) for ui in u)
+        p, q, r = ua1 * ua1 + ua2 * ua2, ua1 * ub1 + ua2 * ub2, ub1 * ub1 + ub2 * ub2
         # p c^2 + 2 q c s + r s^2 = (p + r)/2 + hypot((p - r)/2, q) cos(2 th - phi),
         # with phi = atan2(2 q, p - r), so the maximum is at th = phi/2.
         th = 0.5 * math.atan2(2.0 * q, p - r)
-        maxima.append((0.5 * (p + r) + math.hypot(0.5 * (p - r), q), math.cos(th) * a + math.sin(th) * b))
-    return maxima
+        c, s = math.cos(th), math.sin(th)
+        points.append(tuple(c * x + s * z for x, z in zip(a, b)))
+    return points
 
 
-def _kkt_dual(sig: np.ndarray, w: np.ndarray, t: float):
-    """_certified_dual at the y for which w is an eigenvector of M(y), in the least-squares sense."""
-    lhs = np.stack([_DUAL_OPS[0] @ w, _DUAL_OPS[1] @ w, w], axis=1)
-    (y1, y2, _), *_ = np.linalg.lstsq(lhs, sig @ w, rcond=None)
-    y = (float(y1), float(y2))
-    return _certified_dual(_spectrum(sig, y)[0], y, t)
+def _kkt_point(u, w) -> tuple[float, float]:
+    """The y for which w is an eigenvector of M(y), in the least-squares sense.
+
+    Solves [(1 (x) sx) w, (1 (x) sz) w, w] (y1, y2, lambda) = Sigma w by
+    modified Gram-Schmidt on the augmented 4x4 matrix, which is backward
+    stable for least squares (Björck, Numerical Methods for Least Squares
+    Problems, SIAM 1996); plain Gram-Schmidt is not.
+    """
+    w0, w1, w2, w3 = w
+    g1, g2 = _dot(u[0], w), _dot(u[1], w)
+    cols = [[w1, w0, w3, w2], [w0, -w1, w2, -w3], list(w), [g1 * x + g2 * z for x, z in zip(*u)]]
+    r = [[0.0] * 4 for _ in range(3)]
+    for k in range(3):
+        norm = math.sqrt(_dot(cols[k], cols[k]))
+        q = [x / norm for x in cols[k]]
+        r[k][k] = norm
+        for j in range(k + 1, 4):
+            r[k][j] = _dot(q, cols[j])
+            cols[j] = [x - r[k][j] * z for x, z in zip(cols[j], q)]
+    lam = r[2][3] / r[2][2]
+    y2 = (r[1][3] - r[1][2] * lam) / r[1][1]
+    y1 = (r[0][3] - r[0][1] * y2 - r[0][2] * lam) / r[0][0]
+    return y1, y2
+
+
+def _residuals(w, t: float) -> tuple[float, float, float, float]:
+    """constraint_residuals of R1 = w w^T, read off w: R1 is PSD, and its diagonal is w_m^2."""
+    d0, d1, d2, d3 = (x * x for x in w)
+    return 0.0, (d0 + d1) + (d2 + d3) - 1.0, 2.0 * (w[0] * w[1] + w[2] * w[3]), (d0 - d1) + (d2 - d3) - t
 
 
 def maximize(ens: Ensemble, t: float, cfg: OracleConfig | None = None) -> OracleResult:
@@ -182,27 +237,31 @@ def maximize(ens: Ensemble, t: float, cfg: OracleConfig | None = None) -> Oracle
     if not 0.0 < _symmetric_alpha(ens) < np.pi / 4:
         raise ValueError("oracle requires alpha strictly inside (0, pi/4)")
     t = check_t(t)
-    sig = sigma_objective(ens)
+    u = _rank_one_terms(ens)
 
     if t == 0.0:
         # Exact: Sigma - <psi1|psi2> (1 (x) sx) <= 1, so this y certifies R1.
         r1 = np.outer(OMEGA, OMEGA).real / 2.0
-        y = (float(np.vdot(*ens.states).real), 0.0)
-        duals = [_certified_dual(_spectrum(sig, y)[0], y, t)]
+        # |Om> = e_0 + e_3, so Tr[Sigma R1] = sum_i (u_i . Om)^2 / 2.
+        objective = 0.5 * sum((ui[0] + ui[3]) ** 2 for ui in u)
+        residuals = (0.0, 0.0, 0.0, 0.0)
+        (a1, b1), (a2, b2) = ens._states
+        duals = [_certified_dual(u, ((a1.conjugate() * a2 + b1.conjugate() * b2).real, 0.0), t)]
     else:
-        maxima = _circle_maxima(sig, t)
-        w = max(maxima, key=lambda m: m[0])[1]
+        points = _circle_points(u, t)
+        scored = [(_objective(u, w), w) for w in points]
+        objective, w = max(scored, key=lambda m: m[0])
         r1 = np.outer(w, w)
+        residuals = _residuals(w, t)
         # At t = 1 the family is the face, whose optimum is its own certificate up to rounding.
-        duals = [_kkt_dual(sig, u, t) for _, u in maxima] if t < 1.0 else []
-    objective = float(np.sum(sig * r1))
+        duals = [_certified_dual(u, _kkt_point(u, p), t) for p in points] if t < 1.0 else []
     achieved = 1.0 - objective
-    residuals = constraint_residuals(r1, ens, t)
     if duals:
         dual, y, lam_max = min(duals, key=lambda d: d[0])
         lower = 1.0 - dual
         # Weak duality at y: Tr[Sigma R1] <= dual + lambda_max r_tr + y1 r_sx + y2 r_sz.
-        gap = achieved - lower + float(np.abs(np.array([lam_max, *y]) * residuals[1:]).sum())
+        gap = achieved - lower + (abs(lam_max * residuals[1]) + abs(y[0] * residuals[2])
+                                  + abs(y[1] * residuals[3]))
     else:
         gap = _DUAL_ROUNDING * abs(objective)
         lower = achieved - gap

@@ -27,6 +27,11 @@ PI8 = math.pi / 8
 EPS = np.finfo(float).eps
 CERTIFICATE_ALPHAS = [0.005, 0.02, math.pi / 16, PI8, 0.39, 3 * math.pi / 16, 0.77, 0.785, 0.7853]
 SMALL_T = (1e-6, 1e-4, 1e-3, 1e-2)
+# The t values of test_certificate_brackets_closed_form and the near-face points
+# of test_certificate_where_dual_is_flat, for the cross-check against the numpy readers.
+CERTIFICATE_TS = (0.0, *SMALL_T, 0.25, 0.5, 0.75, 0.99, 0.99049, 0.999, 0.9999, 1.0)
+NEAR_FACE = [(math.pi / 4 - 1e-6, 0.99995), (math.pi / 4 - 1e-7, 0.99999), (math.pi / 4 - 1e-8, 0.99999),
+             (math.pi / 4 - 1e-6, 1.0 - 1e-13), (math.pi / 4 - 1e-9, 1.0 - 1e-12)]
 
 
 def closed_form_choi(alpha, t):
@@ -150,7 +155,8 @@ class TestMaximize:
 
         eigh = np.linalg.eigh
         calls = []
-        monkeypatch.setattr(oracle_module, "_circle_maxima", forbidden)
+        for name in ("_circle_points", "_kkt_point"):
+            monkeypatch.setattr(oracle_module, name, forbidden)
         monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m) or eigh(m))
         result = maximize(symmetric_pair(PI8), 0.0)
         assert len(calls) == 1
@@ -175,6 +181,8 @@ class TestMaximize:
     # At t = 1 the face's optimum is its own certificate, less the interior's
     # rounding allowance 8 eps |Tr[Sigma R1]|, which keeps lower_bound_D below
     # D_t: achieved_D alone exceeds it by up to 4.5e-16 at 8 of the 12 grid alphas.
+    # Tr[Sigma R1] is near 1, so 1 - fl(1 - Tr[Sigma R1]) is Tr[Sigma R1] exactly
+    # (Sterbenz); test_objective_and_residuals_match_the_public_readers ties it to best_R1.
     def test_boundary_uses_exact_face_reduction(self):
         mpmath = pytest.importorskip("mpmath")
         alphas = [*np.linspace(0.02, 0.78, 12), *(10.0 ** -k for k in range(2, 9)),
@@ -182,7 +190,7 @@ class TestMaximize:
         for alpha in alphas:
             pair = symmetric_pair(alpha)
             result = maximize(pair, 1.0)
-            allowance = 8 * EPS * abs(float(np.sum(sigma_objective(pair) * result.best_R1)))
+            allowance = 8 * EPS * abs(1.0 - result.achieved_D)
             assert result.certified_gap == allowance, alpha
             assert result.lower_bound_D == result.achieved_D - allowance, alpha
             assert result.lower_bound_D <= curve_disturbance_reference(mpmath, alpha, 1.0), alpha
@@ -192,6 +200,29 @@ class TestMaximize:
     def test_certificate_brackets_closed_form(self, alpha):
         for t in (0.0, *SMALL_T, 0.25, 0.5, 0.75, 0.99, 0.99049, 0.999, 0.9999, 1.0):
             assert_certified(alpha, t)
+
+    # The solve works on the pair's scalars; its objective and residuals agree
+    # with the numpy readers of Sigma and of the conditions applied to best_R1.
+    def test_objective_and_residuals_match_the_public_readers(self):
+        points = [(alpha, t) for alpha in np.linspace(0.02, 0.78, 12) for t in np.linspace(0.0, 0.99, 23)]
+        points += [(alpha, t) for alpha in CERTIFICATE_ALPHAS for t in CERTIFICATE_TS]
+        for alpha, t in points + NEAR_FACE:
+            pair = symmetric_pair(alpha)
+            result = maximize(pair, t)
+            where = f"alpha={alpha}, t={t}"
+            readers = constraint_residuals(result.best_R1, pair, t)
+            assert max(abs(r - s) for r, s in zip(result.constraint_residuals, readers)) <= 4 * EPS, where
+            objective = float(np.sum(sigma_objective(pair) * result.best_R1))
+            assert abs((1.0 - result.achieved_D) - objective) <= 4 * EPS, where
+
+    # Both alpha edges against both t edges, with the t = 1 face.
+    def test_lower_bound_below_the_reference_at_the_edges(self):
+        mpmath = pytest.importorskip("mpmath")
+        for alpha in (1e-8, 1e-4, 1e-2, 0.39, math.pi / 4 - 1e-2, math.pi / 4 - 1e-6, math.pi / 4 - 1e-9):
+            for t in (1e-8, 1e-4, 1e-2, 0.5, 0.99, 1.0 - 1e-9, 1.0 - 1e-13, 1.0):
+                result = maximize(symmetric_pair(alpha), t)
+                reference = curve_disturbance_reference(mpmath, alpha, t)
+                assert result.lower_bound_D <= reference, f"alpha={alpha}, t={t}"
 
     # Near t = 0 the top-eigenvalue gap at the optimum shrinks as t^2, so the
     # optimum is all but degenerate; the rank-one solution and its KKT dual

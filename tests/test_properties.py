@@ -1,4 +1,5 @@
 """Property tests over the (alpha, t) domain: the closed forms, the Kraus- and Choi-level functionals, and the oracle's certificate."""
+import cmath
 import math
 import sys
 
@@ -14,6 +15,7 @@ from qtradeoff import (
     kraus_to_choi,
     maximize,
     optimal_instrument,
+    success_probability,
     symmetric_pair,
     tilt_t,
     tradeoff_point,
@@ -115,3 +117,26 @@ def test_oracle_certificate_holds(alpha, t):
     result = maximize(symmetric_pair(alpha), t)
     assert result.lower_bound_D <= tradeoff_point(alpha, t).D
     assert 0.0 <= result.certified_gap <= 64 * EPS
+
+
+# Moduli (cos th, sin th), a relative phase phi and a global phase g, with the
+# alpha that the overlap 2 Re(conj(a1) b1) = sin 2th cos phi alone accepts. The
+# pair is refused unless it is the one every route assumes; an accepted pair
+# reaches P_t and D_t on the Kraus route, within the checks' 1e-12.
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(th=st.floats(0.0, math.pi / 2), phi=st.floats(-math.pi / 2, math.pi / 2),
+       g=st.floats(-math.pi, math.pi))
+@example(th=math.pi / 4, phi=0.7, g=0.0)
+@example(th=math.pi / 2 - 0.3, phi=0.0, g=0.0)
+@example(th=0.3, phi=0.0, g=0.4)
+def test_ensemble_alpha_fixes_the_pair(th, phi, g):
+    psi1 = cmath.exp(1j * g) * np.array([math.cos(th), cmath.exp(1j * phi) * math.sin(th)])
+    alpha = math.asin(math.sin(2 * th) * math.cos(phi)) / 2
+    try:
+        ens = Ensemble(priors=(0.5, 0.5), states=(psi1, psi1[::-1]), alpha=alpha)
+    except ValueError as err:
+        assert str(err).startswith("alpha requires states[0] to be a global phase"), str(err)
+        return
+    inst, pt = optimal_instrument(alpha, 0.5), tradeoff_point(alpha, 0.5)
+    assert abs(success_probability(inst, ens) - pt.P) <= 1e-10
+    assert abs(disturbance(inst, ens) - pt.D) <= 1e-10

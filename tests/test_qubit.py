@@ -1,4 +1,5 @@
 """Matrix kernel and symmetric-pair geometry."""
+import cmath
 import math
 
 import numpy as np
@@ -8,9 +9,14 @@ from qtradeoff import (
     Ensemble,
     ID2,
     SIGMA_X,
+    disturbance,
+    maximize,
+    optimal_instrument,
     projector,
+    success_probability,
     symmetric_pair,
     tensor,
+    tradeoff_point,
 )
 
 from conftest import random_hermitian
@@ -76,6 +82,23 @@ class TestSymmetricPair:
         assert Ensemble(priors=(0.5, 0.5), states=(tilted, tilted[::-1]), alpha=0.3).alpha == 0.3
         with pytest.raises(ValueError, match="^alpha does not match the overlap"):
             Ensemble(priors=(0.5, 0.5), states=(psi1, psi2), alpha=0.3 + 1e-11)
+
+    # The overlap alone passes a relative phase between the components and the
+    # pair in swapped order, which every route answered wrongly; a global phase
+    # is the same pair.
+    def test_manual_construction_fixes_the_pair_up_to_a_global_phase(self):
+        a = 0.3
+        swapped = (np.array([math.sin(a), math.cos(a)]), np.array([math.cos(a), math.sin(a)]))
+        relative = np.array([1.0, cmath.exp(0.7j)]) / math.sqrt(2)
+        for states, alpha in [(swapped, a), ((relative, relative[::-1]), math.asin(math.cos(0.7)) / 2)]:
+            with pytest.raises(ValueError, match="^alpha requires states.0. to be a global phase"):
+                Ensemble(priors=(0.5, 0.5), states=states, alpha=alpha)
+        phased = Ensemble(priors=(0.5, 0.5), states=tuple(cmath.exp(0.4j) * s for s in symmetric_pair(a).states),
+                          alpha=a)
+        inst, pt = optimal_instrument(a, 0.5), tradeoff_point(a, 0.5)
+        assert success_probability(inst, phased) == pytest.approx(pt.P, abs=1e-14)
+        assert disturbance(inst, phased) == pytest.approx(pt.D, abs=1e-14)
+        assert maximize(phased, 0.5).achieved_D == pytest.approx(pt.D, abs=1e-14)
 
 
 class TestTensor:
