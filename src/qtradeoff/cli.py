@@ -6,9 +6,9 @@ chunks, exit code); the library validates the domain, and one runner per
 subcommand reports its ValueError as a usage error and writes the chunks to
 stdout or --out. cmd_curve returns a lazy iterator of chunks, each a block of
 rows, so the curve is computed as it is written, in constant memory. Only
-verify and simulate import numpy, and only point, verify and simulate import
-json (the curve's JSON rows come from a template), inside the functions that
-need them.
+simulate imports numpy (verify runs the oracle on the pair's plain entries),
+and only point, verify and simulate import json (the curve's JSON rows come
+from a template), inside the functions that need them.
 """
 from __future__ import annotations
 
@@ -19,14 +19,14 @@ from collections.abc import Iterable, Iterator
 from itertools import islice
 
 from . import __version__
-from .tradeoff import _curve_rows, _gamma, kraus_entries, optimal_instrument, tradeoff_point
+from .tradeoff import _curve_rows, _gamma, _pair_entries, kraus_entries, optimal_instrument, tradeoff_point
 
 CURVE_COLUMNS = ("alpha", "t", "P", "D", "beta_t", "info", "dist", "identity_residual")
 _POINT_COLUMNS = (*CURVE_COLUMNS[:5], "gamma", *CURVE_COLUMNS[5:])
 # Largest --points accepted. curve at its cap ends in under about 30 s: on a
 # 2-core Xeon VM, --format json took 2.8-4.8 s and 17 MiB peak RSS (rows are streamed).
-# verify at its cap took 60 s and 521 MiB on a 2-core Xeon VM (Python 3.11.7,
-# numpy 2.4.6); ROADMAP item 11 re-derives that cap from measured time.
+# verify --alpha 0.39 at its cap took 19-21 s and 504 MiB on a 2-core Xeon VM
+# (Python 3.11.7), numpy not loaded; ROADMAP item 11 re-derives that cap from measured time.
 MAX_CURVE_POINTS = 250_000
 MAX_VERIFY_POINTS = 200_000
 # Rows joined into one write: each write is a system call on unbuffered stdout.
@@ -150,13 +150,13 @@ def cmd_point(args) -> tuple[tuple[str], int]:
 
 
 def cmd_verify(args) -> tuple[tuple[str], int]:
-    from .oracle import verify_closed_form
-    from .qubit import symmetric_pair
+    from .oracle import _verification
 
     alpha = _resolve_alpha(args)
     _check_points(args.points, 1, MAX_VERIFY_POINTS)
     t_grid = [1.0] if args.points == 1 else _t_grid(args.points)
-    report = verify_closed_form(symmetric_pair(alpha), t_grid, tol=args.tol)
+    # verify_closed_form(symmetric_pair(alpha), ...) on the pair's plain entries, building no arrays.
+    report = _verification(alpha, _pair_entries(alpha), t_grid, args.tol)
     return _json(**report.as_dict()), 0 if report.all_passed else 1
 
 

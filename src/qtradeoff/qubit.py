@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tradeoff import check_alpha
+from .tradeoff import _pair_entries, check_alpha
 
 # The library's input-check tolerances. Identities on O(1) scalars formed in a
 # few operations: Ensemble's state norms, prior sum and symmetric-pair geometry.
@@ -42,9 +42,8 @@ def symmetric_pair(alpha: float) -> Ensemble:
     from .instruments import Ensemble
 
     alpha = check_alpha(alpha)
-    psi1 = np.array([np.cos(alpha), np.sin(alpha)], dtype=complex)
-    psi2 = np.array([np.sin(alpha), np.cos(alpha)], dtype=complex)
-    return Ensemble(priors=(0.5, 0.5), states=(psi1, psi2), alpha=alpha)
+    states = tuple(np.array(psi, dtype=complex) for psi in _pair_entries(alpha))
+    return Ensemble(priors=(0.5, 0.5), states=states, alpha=alpha)
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -56,6 +56,12 @@ def check_alpha(alpha: float) -> float:
     return alpha
 
 
+def _pair_entries(alpha: float) -> tuple[tuple[float, float], tuple[float, float]]:
+    """The symmetric pair's states ((cos a, sin a), (sin a, cos a)) as plain floats."""
+    c, s = math.cos(alpha), math.sin(alpha)
+    return (c, s), (s, c)
+
+
 def check_t(t: float) -> float:
     """The control parameter as a float; ValueError outside [0, 1], for NaN and what _as_float refuses."""
     t = t if type(t) is float else _as_float(t, "t")

@@ -1,5 +1,4 @@
 """Command line behavior: formats, exit codes, determinism, degenerate inputs."""
-import dataclasses
 import json
 import math
 import os
@@ -327,11 +326,24 @@ class TestVerify:
         assert code == 1
         assert json.loads(out)["all_passed"] is False
 
+    # verify solves on the plain entries symmetric_pair is built from, not on an
+    # Ensemble; the report is the library's, value for value, on both edges.
+    @pytest.mark.parametrize("alpha", ["1e-300", "1e-8", "0.39", "0.7853981"])
+    def test_report_matches_verify_closed_form(self, capsys, alpha):
+        from qtradeoff import symmetric_pair, verify_closed_form
+
+        code, out, _ = run_cli(capsys, ["verify", "--alpha", alpha, "--points", "41"])
+        report = verify_closed_form(symmetric_pair(float(alpha)), list(cli._t_grid(41)))
+        payload = json.loads(out)
+        del payload["library"], payload["version"]
+        assert payload == json.loads(json.dumps(report.as_dict()))
+        assert code == (0 if report.all_passed else 1)
+
     def test_infeasible_oracle_point_exits_one(self, capsys, monkeypatch):
         # a point passes only if its residuals, too, are within FEASIBILITY_ATOL (1e-6)
-        exact = oracle_module.maximize
-        monkeypatch.setattr(oracle_module, "maximize", lambda pair, t: dataclasses.replace(
-            exact(pair, t), constraint_residuals=(0.0, 2e-6, 0.0, 0.0)))
+        exact = oracle_module._solve
+        monkeypatch.setattr(oracle_module, "_solve", lambda states, t: exact(states, t)._replace(
+            constraint_residuals=(0.0, 2e-6, 0.0, 0.0)))
         code, out, _ = run_cli(capsys, ["verify", "--fsq", "0.5", "--points", "3"])
         assert code == 1
         payload = json.loads(out)
@@ -561,6 +573,28 @@ def test_closed_form_commands_do_not_load_numpy():
     assert len(report["loaded"]) == 5, report["loaded"]
     assert not any(report["loaded"].values()), report["loaded"]
     assert report["rng_keys"] == [False, False]
+
+
+# verify runs the oracle on the pair's plain entries, with an exact integer
+# certificate: at 1 point (the face), 5 and 401 it loads neither numpy nor
+# importlib.metadata. It does load dataclasses, for its report.
+_NUMPY_FREE_VERIFY_SCRIPT = """
+import contextlib, io, json, sys
+from qtradeoff.cli import main
+loaded = {}
+for points in ("1", "5", "401"):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["verify", "--fsq", "0.5", "--points", points]) == 0
+    loaded[points] = [m for m in ("numpy", "importlib.metadata") if m in sys.modules]
+print(json.dumps(loaded))
+"""
+
+
+def test_verify_does_not_load_numpy():
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_FREE_VERIFY_SCRIPT],
+                          capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"1": [], "5": [], "401": []}
 
 
 def test_import_does_not_load_scipy():

@@ -54,7 +54,10 @@ class TestSigmaObjective:
         sig = sigma_objective(symmetric_pair(PI8))
         assert np.linalg.eigvalsh(sig)[-1] == pytest.approx(1.5, abs=1e-12)
 
-    # Sigma is the oracle's only input: the same bits give the same results.
+    # The public reader of Sigma is the Kronecker sum bit for bit. The solve does
+    # not read it: it forms its rank-one terms from the pair's entries, and
+    # test_objective_and_residuals_match_the_public_readers holds its objective
+    # within 4 eps of Tr[sigma_objective R1].
     @pytest.mark.parametrize("alpha", CERTIFICATE_ALPHAS)
     def test_bit_identical_to_kron_sum(self, alpha):
         pair = symmetric_pair(alpha)
@@ -109,6 +112,20 @@ class TestConstraintResiduals:
         np.testing.assert_allclose(real, cplx, rtol=0, atol=1e-15)
 
 
+def top_eigenvalue(mpmath, states, y):
+    """lambda_max(Sigma - y1 (1 (x) sx) - y2 (1 (x) sz)) at 40 digits, Sigma from the float states exactly."""
+    with mpmath.workdps(40):
+        u = [[mpmath.re(x * mpmath.conj(z)) for x, z in ((a, a), (a, b), (b, a), (b, b))]
+             for a, b in ([mpmath.mpc(x) for x in psi] for psi in states)]
+        m = mpmath.matrix(4, 4)
+        for j in range(4):
+            for k in range(4):
+                m[j, k] = u[0][j] * u[0][k] + u[1][j] * u[1][k]
+            m[j, j] -= y[1] if j % 2 == 0 else -y[1]
+            m[j, j ^ 1] -= y[0]
+        return max(mpmath.eigsy(m, eigvals_only=True))
+
+
 def assert_certified(alpha, t):
     result = maximize(symmetric_pair(alpha), t)
     closed = tradeoff_point(alpha, t).D
@@ -153,11 +170,12 @@ class TestMaximize:
         def forbidden(*args, **kwargs):
             raise AssertionError("t = 0 entered the interior solver")
 
-        eigh = np.linalg.eigh
+        positive_definite = oracle_module._positive_definite
         calls = []
         for name in ("_circle_points", "_kkt_point"):
             monkeypatch.setattr(oracle_module, name, forbidden)
-        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m) or eigh(m))
+        monkeypatch.setattr(oracle_module, "_positive_definite",
+                            lambda m: calls.append(m) or positive_definite(m))
         result = maximize(symmetric_pair(PI8), 0.0)
         assert len(calls) == 1
         np.testing.assert_array_equal(result.best_R1, np.outer(OMEGA, OMEGA).real / 2)
@@ -215,14 +233,52 @@ class TestMaximize:
             objective = float(np.sum(sigma_objective(pair) * result.best_R1))
             assert abs((1.0 - result.achieved_D) - objective) <= 4 * EPS, where
 
-    # Both alpha edges against both t edges, with the t = 1 face.
+    # Both alpha edges against both t edges, with the t = 1 face: 17 x 23 points.
     def test_lower_bound_below_the_reference_at_the_edges(self):
         mpmath = pytest.importorskip("mpmath")
-        for alpha in (1e-8, 1e-4, 1e-2, 0.39, math.pi / 4 - 1e-2, math.pi / 4 - 1e-6, math.pi / 4 - 1e-9):
-            for t in (1e-8, 1e-4, 1e-2, 0.5, 0.99, 1.0 - 1e-9, 1.0 - 1e-13, 1.0):
+        alphas = [*(10.0 ** -k for k in range(1, 9)), 0.39, *(math.pi / 4 - 10.0 ** -k for k in range(2, 10))]
+        ts = [*(10.0 ** -k for k in range(1, 9)), 0.5, 0.99, *(1.0 - 10.0 ** -k for k in range(2, 14)), 1.0]
+        for alpha in alphas:
+            for t in ts:
                 result = maximize(symmetric_pair(alpha), t)
                 reference = curve_disturbance_reference(mpmath, alpha, t)
                 assert result.lower_bound_D <= reference, f"alpha={alpha}, t={t}"
+
+    # The exact test proves mu >= lambda_max(M(y)) for M(y) built from the float
+    # states, so mu is never below the 40-digit top eigenvalue, at every KKT
+    # point of the 12 x 23 grid, either circle's, and at the t = 0 dual point.
+    def test_proved_mu_bounds_the_top_eigenvalue(self):
+        mpmath = pytest.importorskip("mpmath")
+        for alpha in np.linspace(0.02, 0.78, 12):
+            (a1, b1), (a2, b2) = states = symmetric_pair(alpha)._states
+            u = oracle_module._rank_one_terms(states)
+            sigma = oracle_module._exact_sigma(states)
+            points = [(((a1.conjugate() * a2 + b1.conjugate() * b2).real, 0.0), 1.0, 0.0)]
+            for t in np.linspace(0.0, 0.99, 23):
+                points += [(*oracle_module._kkt_point(u, w), t) for w in oracle_module._circle_points(u, t)]
+            for y, lam, t in points:
+                lower, _, mu = oracle_module._certified_dual(sigma, y, lam, t)
+                top = top_eigenvalue(mpmath, states, y)
+                where = f"alpha={alpha}, t={t}, y={y}"
+                assert mu >= top, where
+                with mpmath.workdps(40):
+                    assert lower <= 1 - top - mpmath.mpf(t) * y[1], where
+
+    # A first mu below lambda_max fails the exact test, and its margin grows until
+    # one passes; far below, the search stops at the Gershgorin bound, which
+    # passes the test too.
+    @pytest.mark.parametrize("shortfall, capped", [(1e-3, False), (1e3, True)])
+    def test_failed_proof_grows_the_margin(self, shortfall, capped):
+        mpmath = pytest.importorskip("mpmath")
+        states = symmetric_pair(0.39)._states
+        u = oracle_module._rank_one_terms(states)
+        sigma = oracle_module._exact_sigma(states)
+        y, lam = oracle_module._kkt_point(u, oracle_module._circle_points(u, 0.5)[0])
+        _, _, mu = oracle_module._certified_dual(sigma, y, lam - shortfall, 0.5)
+        assert mu >= top_eigenvalue(mpmath, states, y)
+        cap = oracle_module._gershgorin(sigma, y)
+        assert (mu == cap) is capped
+        assert oracle_module._positive_definite(oracle_module._dual_matrix(sigma, y, cap)[0])
 
     # Near t = 0 the top-eigenvalue gap at the optimum shrinks as t^2, so the
     # optimum is all but degenerate; the rank-one solution and its KKT dual

@@ -2,6 +2,7 @@
 import cmath
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from qtradeoff import (
     tilt_t,
     tradeoff_point,
 )
+from qtradeoff import oracle as oracle_module
 from qtradeoff.tradeoff import _curve_rows
 
 from conftest import curve_disturbance_reference
@@ -117,6 +119,53 @@ def test_oracle_certificate_holds(alpha, t):
     result = maximize(symmetric_pair(alpha), t)
     assert result.lower_bound_D <= tradeoff_point(alpha, t).D
     assert 0.0 <= result.certified_gap <= 64 * EPS
+
+
+def _ldl_positive_definite(m):
+    """Whether the symmetric matrix m is positive definite, by an LDL^T in exact fractions."""
+    a = [[Fraction(x) for x in row] for row in m]
+    for k in range(len(a)):
+        if a[k][k] <= 0:
+            return False
+        for i in range(k + 1, len(a)):
+            f = a[i][k] / a[k][k]
+            for j in range(k + 1, len(a)):
+                a[i][j] -= f * a[k][j]
+    return True
+
+
+def _symmetric(upper):
+    """The symmetric 4x4 matrix with upper triangle upper, row by row."""
+    m = [[0.0] * 4 for _ in range(4)]
+    for (i, j), x in zip(((i, j) for i in range(4) for j in range(i, 4)), upper):
+        m[i][j] = m[j][i] = x
+    return m
+
+
+# Entries from subnormal to 1e300 and zeros; Gram matrices fl(B^T B), with
+# PSD and indefinite ones near the boundary; diagonally dominant ones, mostly
+# positive definite; and exactly singular PSD ones v v^T, whose entries are
+# exact products, which the strict test refuses.
+_ENTRY = st.one_of(st.just(0.0), st.floats(-1e300, 1e300), st.floats(-1e-300, 1e-300))
+_UPPER = st.lists(_ENTRY, min_size=10, max_size=10)
+_GRAM = st.lists(st.lists(st.one_of(st.just(0.0), st.floats(-1e100, 1e100)), min_size=4, max_size=4),
+                 min_size=4, max_size=4).map(
+    lambda b: [[math.fsum(b[k][i] * b[k][j] for k in range(4)) for j in range(4)] for i in range(4)])
+_DOMINANT = _UPPER.map(lambda upper: [[sum(abs(x) for x in row) if i == j else x for j, x in enumerate(row)]
+                                      for i, row in enumerate(_symmetric(upper))])
+_RANK_ONE = st.lists(st.tuples(st.integers(-2 ** 20, 2 ** 20), st.integers(-480, 480)),
+                     min_size=4, max_size=4).map(
+    lambda v: [[math.ldexp(m * n, e + f) for n, f in v] for m, e in v])
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(m=st.one_of(_UPPER.map(_symmetric), _GRAM, _DOMINANT, _RANK_ONE))
+@example(m=_symmetric([5e-324, 0.0, 0.0, 0.0, 1e300, 0.0, 0.0, 1.0, 0.0, 1.0]))
+@example(m=_symmetric([1.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 1.0]))
+@example(m=_symmetric([1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0]))
+def test_exact_test_agrees_with_fraction_ldl(m):
+    upper, _ = oracle_module._integers([m[i][j] for i in range(4) for j in range(i, 4)])
+    assert oracle_module._positive_definite(upper) == _ldl_positive_definite(m)
 
 
 # Moduli (cos th, sin th), a relative phase phi and a global phase g, with the
